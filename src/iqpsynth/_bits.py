@@ -12,11 +12,15 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, TooManyQubits
 
 TAU = 2.0 * np.pi
 
 ENV_MAX_QUBITS = "IQP_MAX_QUBITS"
+
+# Dense arrays over 2**qubits entries (statevectors, phase tables, parsed
+# distributions) are refused past this many qubits.
+DENSE_MAX_QUBITS = 24
 
 
 def qubit_cap(default: int) -> int:
@@ -29,6 +33,13 @@ def qubit_cap(default: int) -> int:
     except ValueError as exc:
         raise FormatError(f"{ENV_MAX_QUBITS} must be an integer, got {raw!r}") from exc
     return min(default, override)
+
+
+def enforce_cap(qubits: int, default: int, what: str) -> None:
+    """Raise TooManyQubits when `what` needs more qubits than its cap allows."""
+    cap = qubit_cap(default)
+    if qubits > cap:
+        raise TooManyQubits(f"{what} needs {qubits} qubits, cap is {cap}")
 
 
 def parity(values: np.ndarray | int) -> np.ndarray | int:

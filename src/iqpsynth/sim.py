@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import qubit_cap, mask_of_support, wht_inplace
-from .errors import BadNormalization, BadTarget, TooManyQubits
+from ._bits import DENSE_MAX_QUBITS, enforce_cap, mask_of_support, wht_inplace
+from .errors import BadNormalization, BadTarget
 from .probdist import ProbVector, validate
 from .synth import GateList, PhaseTable
-
-# Dense statevectors are refused past this many qubits (16 bytes each).
-DENSE_MAX_QUBITS = 24
 
 # The mixture path holds only 2**n-sized buffers but still walks 2**m rows.
 MIXTURE_MAX_TOTAL = 32
@@ -63,9 +60,7 @@ class StateVector:
 def full_statevector(pt: PhaseTable) -> StateVector:
     """Joint state after the diagonal layer: 2**(-(m+n)/2) * exp(i*theta)."""
     total = pt.m + pt.n
-    cap = qubit_cap(DENSE_MAX_QUBITS)
-    if total > cap:
-        raise TooManyQubits(f"dense state needs {total} qubits, cap is {cap}")
+    enforce_cap(total, DENSE_MAX_QUBITS, "dense state")
     amps = np.exp(1j * pt.theta) * (2.0 ** (-0.5 * total))
     return StateVector(total, amps)
 
@@ -105,14 +100,8 @@ def marginal_mixture(pt: PhaseTable) -> ProbVector:
     scaled by 4**-n, is the marginal.  Memory stays at O(2**n) however
     large the hidden register is, so this is the scalable route.
     """
-    vis_cap = qubit_cap(DENSE_MAX_QUBITS)
-    if pt.n > vis_cap:
-        raise TooManyQubits(f"visible register is {pt.n} qubits, cap is {vis_cap}")
-    total_cap = qubit_cap(MIXTURE_MAX_TOTAL)
-    if pt.m + pt.n > total_cap:
-        raise TooManyQubits(
-            f"mixture walks {pt.m + pt.n} qubits total, cap is {total_cap}"
-        )
+    enforce_cap(pt.n, DENSE_MAX_QUBITS, "visible register")
+    enforce_cap(pt.m + pt.n, MIXTURE_MAX_TOTAL, "mixture walk")
     size = 1 << pt.n
     rows = 1 << pt.m
     per_chunk = max(1, CHUNK_ENTRIES // size)
@@ -139,9 +128,7 @@ def simulate_gates(g: GateList) -> StateVector:
     The global phase multiplies in at the end.
     """
     total = g.total_qubits
-    cap = qubit_cap(DENSE_MAX_QUBITS)
-    if total > cap:
-        raise TooManyQubits(f"gate simulation needs {total} qubits, cap is {cap}")
+    enforce_cap(total, DENSE_MAX_QUBITS, "gate simulation")
     size = 1 << total
     amps = np.zeros(size, dtype=np.complex128)
     amps[0] = 1.0

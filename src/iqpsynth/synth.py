@@ -6,10 +6,17 @@ traced out.  Everything before the final H-layer is summarized by a phase
 table theta over all 2**(m+n) basis states, indexed x = (j << n) | k with
 hidden value j and visible value k.  Hidden qubits are qubits 0..m-1.
 
-exact_phase_table targets a distribution exactly with m = n + 1 hidden
-qubits by stacking one two-outcome row per 2-sparse mixture component.
-approx_phase_table realizes a dyadic distribution through its multiplicity
-map with parity rows only (phases 0 or pi).
+Every table stacks two-outcome rows, each one evaluation of
+
+    theta_y = pi * parity(b1 & y) + theta_star * parity((b1 ^ b2) & y)
+
+with theta_star = 2 * acos(sqrt(mass)): through a Hadamard layer the row
+yields b1 with probability mass, else b2.  exact_phase_table gives each
+2-sparse mixture component one row over m = n + 1 hidden qubits;
+approx_phase_table gives each multiplicity label v[j] the parity row
+b1 = b2 = v[j], theta_star = 0.  theta_star uses math.acos because
+np.arccos differs from it in the last bit on some inputs, which would
+change circuit bytes.
 
 walsh_lower rewrites a table as X-rotation gates exp(i * angle * X_S) via
 the Walsh transform of theta; gates_to_phases inverts it.  The two forms
@@ -39,11 +46,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._bits import (
+    DENSE_MAX_QUBITS,
     canonical_angle,
     canonical_phase,
+    enforce_cap,
     mask_of_support,
     parity,
-    qubit_cap,
     support_of_mask,
     wht_inplace,
 )
@@ -54,7 +62,6 @@ from .errors import (
     LengthMismatch,
     MassOutOfRange,
     OutcomeOutOfRange,
-    TooManyQubits,
 )
 from .probdist import ProbVector, format_float
 
@@ -125,17 +132,26 @@ class PhaseRow:
         object.__setattr__(self, "theta", theta)
 
 
+def _parity_rows(b1, b2, theta_star, n: int) -> NDArray[np.float64]:
+    """The row formula for each (b1, b2, theta_star) triple, uncanonicalized."""
+    y = np.arange(1 << n, dtype=np.uint64)
+    b1 = np.asarray(b1, dtype=np.uint64)[:, None]
+    flip = b1 ^ np.asarray(b2, dtype=np.uint64)[:, None]
+    theta_star = np.asarray(theta_star, dtype=np.float64)[:, None]
+    return np.pi * parity(b1 & y) + theta_star * parity(flip & y)
+
+
+def _theta_star(mass: float) -> float:
+    return 2.0 * math.acos(math.sqrt(mass))
+
+
 def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseRow:
     """Phase row whose measured outcome is b1 with given mass, else b2.
 
     The row keeps every amplitude at modulus 2**(-n/2); only phases vary,
-    and they need just two parity patterns:
-
-        theta_y = pi * parity(b1 & y) + theta_star * parity((b1 ^ b2) & y)
-
-    with theta_star = 2 * arccos(sqrt(mass)).  Through a Hadamard layer
-    the amplitude on b is then alpha if b == b1 and beta if b == b2, with
-    |alpha|**2 == mass, and zero elsewhere.
+    following the row formula of the module docstring.  Through a Hadamard
+    layer the amplitude on b is then alpha if b == b1 and beta if b == b2,
+    with |alpha|**2 == mass, and zero elsewhere.
 
     When b1 == b2 the row is a plain parity pattern and carries the whole
     unit of probability; mass is forced to 1 in that case.
@@ -147,14 +163,9 @@ def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseRow:
         raise OutcomeOutOfRange(f"b2={b2} outside [0, {size})")
     if not math.isfinite(mass) or mass < -MASS_TOL or mass > 1.0 + MASS_TOL:
         raise MassOutOfRange(f"mass {mass!r} outside [0, 1]")
-    mass = min(max(mass, 0.0), 1.0)
-    if b1 == b2:
-        mass = 1.0
-    theta_star = 2.0 * math.acos(math.sqrt(mass))
-    y = np.arange(size, dtype=np.uint64)
-    row = np.pi * parity(np.uint64(b1) & y) + theta_star * parity(
-        np.uint64(b1 ^ b2) & y
-    )
+    mass = 1.0 if b1 == b2 else min(max(mass, 0.0), 1.0)
+    theta_star = _theta_star(mass)
+    row = _parity_rows([b1], [b2], [theta_star], n)[0]
     return PhaseRow(n, row, b1, b2, mass, theta_star)
 
 
@@ -165,15 +176,14 @@ def exact_phase_table(p: ProbVector) -> PhaseTable:
     gives each component one hidden row.  The marginal reproduces p up to
     float rounding in the decomposition, with no dyadic loss.
     """
-    n = p.n
     parts = decompose_2sparse(p)
-    m = n + 1
-    theta = np.empty(1 << (m + n), dtype=np.float64)
-    for j, part in enumerate(parts):
-        b1, mass = part.entries[0]
-        b2 = part.entries[1][0] if part.sparsity > 1 else b1
-        theta[j << n : (j + 1) << n] = uma_phases_for_pair(b1, b2, mass, n).theta
-    return PhaseTable(m, n, theta)
+    b1 = [part.entries[0][0] for part in parts]
+    b2 = [part.entries[-1][0] for part in parts]
+    theta_star = [
+        _theta_star(min(part.entries[0][1], 1.0)) if part.sparsity > 1 else 0.0
+        for part in parts
+    ]
+    return PhaseTable(p.n + 1, p.n, _parity_rows(b1, b2, theta_star, p.n))
 
 
 def approx_phase_table(vmap: MultiplicityMap, n: int) -> PhaseTable:
@@ -183,13 +193,9 @@ def approx_phase_table(vmap: MultiplicityMap, n: int) -> PhaseTable:
     on outcome v[j]; mixing rows uniformly weights each outcome by its
     multiplicity.  All phases are 0 or pi.
     """
-    if vmap.v.size and int(vmap.v.max()) >= 1 << n:
-        raise OutcomeOutOfRange(f"multiplicity label exceeds {n}-bit range")
-    if int(vmap.v.min(initial=0)) < 0:
-        raise OutcomeOutOfRange("multiplicity labels must be nonnegative")
-    y = np.arange(1 << n, dtype=np.uint64)
-    theta = np.pi * parity(vmap.v.astype(np.uint64)[:, None] & y[None, :])
-    return PhaseTable(vmap.m, n, theta.ravel())
+    if not 0 <= int(vmap.v.min()) <= int(vmap.v.max()) < 1 << n:
+        raise OutcomeOutOfRange(f"multiplicity labels must lie in [0, 2**{n})")
+    return PhaseTable(vmap.m, n, _parity_rows(vmap.v, vmap.v, np.zeros(vmap.v.size), n))
 
 
 @dataclass(frozen=True)
@@ -243,9 +249,7 @@ def walsh_lower(pt: PhaseTable) -> GateList:
     dropped.  Gate-path amplitudes match the phase-table state exactly.
     """
     total = pt.m + pt.n
-    cap = qubit_cap(WALSH_MAX_QUBITS)
-    if total > cap:
-        raise TooManyQubits(f"lowering needs {total} qubits, cap is {cap}")
+    enforce_cap(total, WALSH_MAX_QUBITS, "lowering")
     c = wht_inplace(pt.theta.copy())
     c /= float(1 << total)
     gates = []
@@ -265,9 +269,7 @@ def gates_to_phases(g: GateList, m: int = 0) -> PhaseTable:
     total = g.total_qubits
     if not 0 <= m <= total:
         raise DimensionMismatch(f"m={m} outside [0, {total}]")
-    cap = qubit_cap(WALSH_MAX_QUBITS)
-    if total > cap:
-        raise TooManyQubits(f"raising needs {total} qubits, cap is {cap}")
+    enforce_cap(total, WALSH_MAX_QUBITS, "raising")
     c = np.zeros(1 << total, dtype=np.float64)
     c[0] = g.global_phase
     for support, angle in g.gates:
@@ -315,12 +317,9 @@ def serialize_circuit(
             qubits = ",".join(f"q{q}" for q in support)
             lines.append(f"XROT {format_float(angle)} {qubits}")
     if table is not None:
-        for x in range(1 << total):
-            value = format_float(float(table.theta[x]))
-            if total:
-                lines.append(f"PHASE {format(x, f'0{total}b')} {value}")
-            else:
-                lines.append(f"PHASE {value}")
+        labels = (f"{x:0{total}b} " if total else "" for x in range(1 << total))
+        values = map(format_float, table.theta.tolist())
+        lines.extend(f"PHASE {label}{value}" for label, value in zip(labels, values))
     return "\n".join(lines) + "\n"
 
 
@@ -380,6 +379,7 @@ def parse_circuit(text: str) -> ParsedCircuit:
                 raise FormatError(f"line {lineno}: HEADER needs m>=0 and n>=0")
             m, n = sizes["m"], sizes["n"]
             total = m + n
+            enforce_cap(total, DENSE_MAX_QUBITS, "circuit header")
             saw_header = True
             continue
         if keyword == "HEADER":
