@@ -22,12 +22,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    BadNormalization,
     DimensionMismatch,
     InconsistentCounts,
     LengthMismatch,
     SparsityViolation,
 )
-from .probdist import ProbVector, sort_with_permutation
+from .probdist import CLAMP_TOL, ProbVector, sort_with_permutation
 
 # Residual row capacity below SNAP is treated as spent during allocation;
 # without it, float dust can manufacture a spurious fourth entry in a row.
@@ -158,6 +159,7 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
             capacity[i] -= values[i]
 
     first_free = 0
+    spilled = 0.0  # mass left over past the last row
     for c in range(k, N):
         remaining = float(values[c])
         while first_free < N and capacity[first_free] <= SNAP:
@@ -165,7 +167,8 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
         i = first_free
         while remaining > SNAP:
             if i >= N:
-                break  # residual float dust past the last row
+                spilled += remaining
+                break
             take = min(float(capacity[i]), remaining)
             if take > SNAP:
                 sorted_rows[i].append((c, take))
@@ -176,6 +179,20 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
                 capacity[i] -= take
                 remaining -= take
             i += 1
+
+    # Float drift in the pour leaves some rows, mostly the last, a few ulps
+    # off 1/N: enough at large N for rows_to_dists to reject them.  Each is
+    # closed to within an ulp on its last entry, so the drift lands on a
+    # column sum instead.  p is normalized only to CLAMP_TOL, so any larger
+    # gap (an empty row included) is a fault, not drift.
+    if spilled > CLAMP_TOL:
+        raise BadNormalization(f"{spilled!r} of mass left over past the last row")
+    for row in sorted_rows:
+        short = target - math.fsum(v for _, v in row)
+        if abs(short) > CLAMP_TOL:
+            raise BadNormalization(f"allocation row off 1/{N} by {-short!r}")
+        if short:
+            row[-1] = (row[-1][0], row[-1][1] + short)
 
     rows = tuple(
         tuple(sorted(((int(perm[c]), v) for c, v in row)))

@@ -18,12 +18,13 @@ from iqpsynth.decompose import (
     split_3_to_2,
 )
 from iqpsynth.errors import (
+    BadNormalization,
     DimensionMismatch,
     InconsistentCounts,
     LengthMismatch,
     SparsityViolation,
 )
-from iqpsynth.probdist import tv_distance, validate
+from iqpsynth.probdist import sort_with_permutation, tv_distance, validate
 
 from helpers import random_dist
 
@@ -81,6 +82,28 @@ def test_allocation_matrix_rejects_wide_rows():
         AllocationMatrix(
             4, ((((0, 0.1), (1, 0.05), (2, 0.05), (3, 0.05)),) + ((),) * 3)
         )
+
+
+def test_allocation_closes_drifting_rows():
+    # the sequential pour used to leave the last row 1.7e-12/N short here,
+    # which rows_to_dists then rejected as a bad distribution
+    raw = np.random.default_rng(0).random(2**15) ** 4
+    p = validate(raw / math.fsum(raw), 15)
+    allocate_3sparse(p).verify_against(p, tol=1e-12)
+    assert len(decompose_2sparse(p)) == 2**16
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_allocation_bounds_leftover_mass(scale, monkeypatch):
+    # more mass than rows (spilled past the last row) or less (a short
+    # row) beyond p's own normalization tolerance is refused, not dropped
+    def scaled_sort(p):
+        values, perm = sort_with_permutation(p)
+        return values * scale, perm
+
+    monkeypatch.setattr("iqpsynth.decompose.sort_with_permutation", scaled_sort)
+    with pytest.raises(BadNormalization):
+        allocate_3sparse(validate([0.1, 0.2, 0.3, 0.4], 2))
 
 
 def test_split_frozen_example():
