@@ -1,0 +1,101 @@
+"""Digest `iqpsynth synth` output over a fixed corpus, to prove refactors byte-neutral.
+
+Runs the synth subcommand in-process on n = 0..9, five textures (dense,
+spiky, gappy, ties, point) and seeds 0-2: exact mode as a phase table,
+plus `--lower` and `--format gates` where 2n+1 <= 15; approx mode with
+--m n-1 and --m n+2, as a phase table and, where m+n <= 16, as gates.
+Prints the number of outputs and one sha256 over all per-output digests;
+two trees that print the same digest wrote the same bytes everywhere.
+
+Usage:
+    PYTHONPATH=src python3 scripts/synth_corpus.py [--digests out.json]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+
+from iqpsynth.cli import main
+from iqpsynth.probdist import serialize_dist, validate
+
+TEXTURES = ("dense", "spiky", "gappy", "ties", "point")
+
+
+def texture(name, rng, size):
+    if name == "dense":
+        raw = rng.random(size)
+    elif name == "spiky":
+        raw = rng.random(size) ** 8
+    elif name == "gappy":
+        raw = rng.random(size)
+        raw[rng.random(size) < 0.5] = 0.0
+    elif name == "ties":
+        raw = rng.integers(0, 4, size).astype(np.float64)
+    else:
+        raw = np.zeros(size)
+        raw[int(rng.integers(size))] = 1.0
+    if raw.max() == 0.0:
+        raw[0] = 1.0
+    return raw / math.fsum(raw)
+
+
+def jobs(n):
+    """(tag, synth flags) pairs for one visible size."""
+    yield "exact_pt", []
+    if 2 * n + 1 <= 15:
+        yield "exact_lower", ["--lower"]
+        yield "exact_gates", ["--format", "gates"]
+    for m in (n - 1, n + 2):
+        if m < 0:
+            continue
+        flags = ["--mode", "approx", "--m", str(m)]
+        yield f"approx{m}_pt", flags
+        if m + n <= 16:
+            yield f"approx{m}_gates", [*flags, "--format", "gates"]
+
+
+def digest_corpus(workdir):
+    digests = {}
+    for n in range(10):
+        for tex in TEXTURES:
+            for seed in range(3):
+                rng = np.random.default_rng(1000 * n + seed)
+                p = validate(texture(tex, rng, 1 << n), n)
+                dist = os.path.join(workdir, "dist.json")
+                with open(dist, "w") as handle:
+                    handle.write(serialize_dist(p) + "\n")
+                for tag, flags in jobs(n):
+                    out = os.path.join(workdir, "circuit.txt")
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = main(["synth", dist, *flags, "-o", out])
+                    if code != 0:
+                        raise SystemExit(f"synth {tag} on n={n} {tex} s{seed}: exit {code}")
+                    with open(out, "rb") as handle:
+                        digests[f"n{n}_{tex}_s{seed}_{tag}"] = hashlib.sha256(
+                            handle.read()
+                        ).hexdigest()
+    return digests
+
+
+def main_cli():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--digests", help="also write per-output digests as JSON")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = digest_corpus(workdir)
+    if args.digests:
+        with open(args.digests, "w") as handle:
+            json.dump(digests, handle, indent=0, sort_keys=True)
+    total = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
+    print(f"{len(digests)} outputs; corpus digest {total}")
+
+
+if __name__ == "__main__":
+    main_cli()

@@ -4,66 +4,12 @@ The pipeline: validate a distribution (probdist), decompose it into
 2-sparse mixture components or a dyadic multiplicity map (decompose),
 turn those into diagonal phase tables and optionally X-rotation gates
 (synth), and check the result by exact simulation (sim).  The cli module
-wires the same steps into the iqpsynth command.
+wires the same steps into the iqpsynth command.  The package root exports
+the quick-start names; everything else lives in its submodule.
 """
 
-from .decompose import (
-    AllocationMatrix,
-    DyadicRounding,
-    MultiplicityMap,
-    SparseDist,
-    allocate_3sparse,
-    build_multiplicity_map,
-    decompose_2sparse,
-    round_to_dyadic,
-    rows_to_dists,
-    split_3_to_2,
-)
-from .errors import (
-    BadNormalization,
-    BadTarget,
-    DimensionMismatch,
-    FormatError,
-    InconsistentCounts,
-    IqpError,
-    LengthMismatch,
-    MassOutOfRange,
-    NegativeMass,
-    OutcomeOutOfRange,
-    SparsityViolation,
-    TooManyQubits,
-)
-from .probdist import (
-    ProbVector,
-    parse_dist,
-    serialize_dist,
-    sort_with_permutation,
-    sparsity,
-    tv_distance,
-    validate,
-)
-from .sim import (
-    StateVector,
-    apply_hadamard_layer,
-    full_statevector,
-    is_uma,
-    marginal_full,
-    marginal_mixture,
-    sample,
-    simulate_gates,
-)
-from .synth import (
-    GateList,
-    ParsedCircuit,
-    PhaseRow,
-    PhaseTable,
-    approx_phase_table,
-    exact_phase_table,
-    gates_to_phases,
-    parse_circuit,
-    serialize_circuit,
-    uma_phases_for_pair,
-    walsh_lower,
-)
+from .probdist import tv_distance, validate
+from .sim import marginal_mixture, simulate_gates
+from .synth import exact_phase_table, walsh_lower
 
 __version__ = "0.1.0"

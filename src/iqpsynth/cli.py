@@ -26,7 +26,7 @@ from .decompose import (
     rows_to_dists,
 )
 from .errors import DimensionMismatch, FormatError, IqpError, TooManyQubits
-from .probdist import ProbVector, format_float, parse_dist, tv_distance
+from .probdist import ProbVector, format_float, parse_dist, sparse_probs_json, tv_distance
 from .sim import DEFAULT_SEED, marginal_full, marginal_mixture, sample
 from .synth import (
     ParsedCircuit,
@@ -192,13 +192,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sparse_probs_json(n: int, entries) -> str:
-    labeled = ", ".join(
-        f'"{format(j, f"0{n}b") if n else ""}": {format_float(v)}' for j, v in entries
-    )
-    return f"{{{labeled}}}"
-
-
 def cmd_decompose(args: argparse.Namespace) -> int:
     p = _read_dist(args.input)
     if args.sparsity == 3:
@@ -208,7 +201,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     weight = 1.0 / len(parts)
     blocks = ",\n    ".join(
         f'{{"weight": {format_float(weight)}, '
-        f'"probs": {_sparse_probs_json(p.n, part.entries)}}}'
+        f'"probs": {sparse_probs_json(p.n, part.entries)}}}'
         for part in parts
     )
     text = f'{{"n": {p.n}, "components": [\n    {blocks}\n]}}\n'

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._bits import DENSE_MAX_QUBITS, enforce_cap
 from .errors import (
     BadNormalization,
     DimensionMismatch,
@@ -178,14 +179,18 @@ def sort_with_permutation(
     return p.probs[perm].copy(), perm
 
 
+def sparse_probs_json(n: int, entries) -> str:
+    """JSON object mapping n-bit strings to masses, from (index, mass) pairs."""
+    items = ", ".join(
+        f'"{format(j, f"0{n}b") if n else ""}": {format_float(v)}' for j, v in entries
+    )
+    return f"{{{items}}}"
+
+
 def serialize_dist(p: ProbVector) -> str:
     """Serialize to the sparse JSON text form with 17-significant-digit decimals."""
-    items = ", ".join(
-        f'"{p.bitstring(j)}": {format_float(float(p.probs[j]))}'
-        for j in range(len(p))
-        if p.probs[j] != 0.0
-    )
-    return f'{{"n": {p.n}, "probs": {{{items}}}}}'
+    nonzero = ((j, v) for j, v in enumerate(p.probs.tolist()) if v != 0.0)
+    return f'{{"n": {p.n}, "probs": {sparse_probs_json(p.n, nonzero)}}}'
 
 
 def parse_dist(text: str) -> ProbVector:
@@ -202,6 +207,7 @@ def parse_dist(text: str) -> ProbVector:
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise FormatError('"n" must be a nonnegative integer')
+    enforce_cap(n, DENSE_MAX_QUBITS, "distribution")
     has_probs = "probs" in obj
     has_dense = "dense" in obj
     if has_probs == has_dense:

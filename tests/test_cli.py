@@ -209,6 +209,23 @@ def test_exit_code_qubit_cap(dist_file, tmp_path, capsys, monkeypatch):
     assert run(capsys, "synth", dist_file, "--format", "gates")[0] == 3
 
 
+def test_oversized_distribution_header_exits_3(tmp_path, capsys):
+    # 2**40 entries would be allocated if n were trusted before the cap
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 40, "probs": {}}')
+    code, out, err = run(capsys, "synth", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversized_circuit_header_exits_3(dist_file, tmp_path, capsys):
+    circuit = tmp_path / "huge.txt"
+    circuit.write_text("HEADER m=30 n=30\nPHASE " + "0" * 60 + " 1.0\n")
+    code, out, err = run(capsys, "verify", str(circuit), dist_file)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_approx_vacuous_bound_warning(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text('{"n": 3, "dense": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}')

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsynth.decompose import build_multiplicity_map, round_to_dyadic
+from iqpsynth._bits import parity
+from iqpsynth.decompose import build_multiplicity_map, decompose_2sparse, round_to_dyadic
 from iqpsynth.errors import (
     DimensionMismatch,
     FormatError,
@@ -152,6 +153,27 @@ def test_approx_table_hits_dyadic_target(args):
     assert np.all((pt.theta == 0.0) | (pt.theta == np.pi))
     assert tv_distance(marginal_mixture(pt), d.q) <= 1e-12
     assert tv_distance(marginal_mixture(pt), p) <= 0.5 * 2.0 ** (n - m)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_tables_match_single_row_encoding_bit_for_bit(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    p = validate(random_dist(rng, n), n)
+    pt = exact_phase_table(p)
+    for j, part in enumerate(decompose_2sparse(p)):
+        b1, mass = part.entries[0]
+        b2 = part.entries[-1][0]
+        row = uma_phases_for_pair(b1, b2, mass, n)
+        assert np.array_equal(pt.row(j), row.theta)
+        if b1 != b2:
+            # math.acos, not np.arccos: the two differ in the last bit
+            assert row.theta_star == 2.0 * math.acos(math.sqrt(min(mass, 1.0)))
+    y = np.arange(1 << n)
+    vmap = build_multiplicity_map(round_to_dyadic(p, n + extra), n)
+    approx = approx_phase_table(vmap, n)
+    for j, v in enumerate(vmap.v):
+        assert np.array_equal(approx.row(j), np.pi * parity(int(v) & y))
 
 
 def test_phase_table_canonicalizes():
