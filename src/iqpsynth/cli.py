@@ -2,7 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 success (for verify, the
 check passed), 1 a completed verification that failed, 2 bad input or
-usage, 3 a qubit-count cap refused the computation.  Reports and
+usage, 3 a qubit-count cap refused the computation, 4 an internal
+invariant failed, such as the two marginal routes disagreeing.  Reports and
 certificates are JSON with a fixed key order; timings are wall-clock
 milliseconds and the only nondeterministic fields anywhere.
 """
@@ -18,6 +19,7 @@ import time
 
 import numpy as np
 
+from ._bits import DENSE_MAX_QUBITS, enforce_cap
 from .decompose import (
     allocate_3sparse,
     build_multiplicity_map,
@@ -25,7 +27,7 @@ from .decompose import (
     round_to_dyadic,
     rows_to_dists,
 )
-from .errors import DimensionMismatch, FormatError, IqpError, TooManyQubits
+from .errors import DimensionMismatch, FormatError, InternalError, IqpError, TooManyQubits
 from .probdist import ProbVector, format_float, parse_dist, sparse_probs_json, tv_distance
 from .sim import DEFAULT_SEED, marginal_full, marginal_mixture, sample
 from .synth import (
@@ -100,10 +102,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.mode == "exact":
         if args.m is not None:
             raise FormatError("--m is fixed at n+1 in exact mode; drop the flag")
+        enforce_cap(2 * p.n + 1, DENSE_MAX_QUBITS, "phase table")
         table = exact_phase_table(p)
     else:
         if args.m is None:
             raise FormatError("approx mode needs --m")
+        enforce_cap(args.m + p.n, DENSE_MAX_QUBITS, "phase table")
         rounding = round_to_dyadic(p, args.m)
         table = approx_phase_table(build_multiplicity_map(rounding, p.n), p.n)
         bound = 0.5 * 2.0 ** (p.n - args.m)
@@ -142,7 +146,7 @@ def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
     if circ.m + circ.n <= CROSSCHECK_MAX_QUBITS:
         dense = marginal_full(table)
         if float(np.abs(dense.probs - marginal.probs).max()) > 1e-12:
-            raise IqpError("internal: mixture and dense marginals disagree")
+            raise InternalError("internal: mixture and dense marginals disagree")
     t2 = time.perf_counter()
     tv = tv_distance(target, marginal)
 
@@ -275,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except TooManyQubits as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except InternalError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
     except (IqpError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -47,3 +47,7 @@ class BadTarget(IqpError):
 
 class FormatError(IqpError):
     """A distribution or circuit file does not follow its text format."""
+
+
+class InternalError(IqpError):
+    """An internal invariant failed: a bug in this package, not bad input."""

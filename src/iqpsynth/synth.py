@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,9 +219,9 @@ class GateList:
         if not math.isfinite(self.global_phase):
             raise LengthMismatch("global phase must be finite")
         seen: set[tuple[int, ...]] = set()
-        gates = []
+        supports = []
         for raw_support, raw_angle in self.gates:
-            support = tuple(int(q) for q in raw_support)
+            support = tuple(map(int, raw_support))
             if not support:
                 raise LengthMismatch("gate supports must be nonempty")
             if list(support) != sorted(set(support)):
@@ -232,8 +233,9 @@ class GateList:
             seen.add(support)
             if not math.isfinite(raw_angle):
                 raise LengthMismatch("gate angles must be finite")
-            gates.append((support, float(canonical_angle(float(raw_angle)))))
-        object.__setattr__(self, "gates", tuple(gates))
+            supports.append(support)
+        angles = canonical_angle(np.array([float(a) for _, a in self.gates], dtype=np.float64))
+        object.__setattr__(self, "gates", tuple(zip(supports, angles.tolist())))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -252,12 +254,11 @@ def walsh_lower(pt: PhaseTable) -> GateList:
     enforce_cap(total, WALSH_MAX_QUBITS, "lowering")
     c = wht_inplace(pt.theta.copy())
     c /= float(1 << total)
-    gates = []
-    for s in range(1, 1 << total):
-        angle = float(canonical_angle(c[s]))
-        if abs(angle) > GATE_TOL:
-            gates.append((support_of_mask(s, total), angle))
-    return GateList(total, float(c[0]), tuple(gates))
+    angles = canonical_angle(c[1:])
+    kept = np.flatnonzero(np.abs(angles) > GATE_TOL)
+    masks = (kept + 1).tolist()
+    gates = tuple(zip((support_of_mask(s, total) for s in masks), angles[kept].tolist()))
+    return GateList(total, float(c[0]), gates)
 
 
 def gates_to_phases(g: GateList, m: int = 0) -> PhaseTable:
@@ -306,7 +307,6 @@ def serialize_circuit(
         raise DimensionMismatch("table sizes disagree with header")
     if gates is not None and gates.total_qubits != m + n:
         raise DimensionMismatch("gate qubit count disagrees with header")
-    total = m + n
     lines = []
     if mode is not None:
         lines.append(f"# mode: {mode}")
@@ -316,50 +316,208 @@ def serialize_circuit(
         for support, angle in gates.gates:
             qubits = ",".join(f"q{q}" for q in support)
             lines.append(f"XROT {format_float(angle)} {qubits}")
-    if table is not None:
-        labels = (f"{x:0{total}b} " if total else "" for x in range(1 << total))
-        values = map(format_float, table.theta.tolist())
-        lines.extend(f"PHASE {label}{value}" for label, value in zip(labels, values))
-    return "\n".join(lines) + "\n"
+    head = "\n".join(lines) + "\n"
+    if table is None:
+        return head
+    return "".join([head, *_phase_blocks(table.theta, m + n)])
 
 
-_XROT_QUBIT = re.compile(r"^q(\d+)$")
+# Circuit text is written and read a bounded block at a time: PHASE lines
+# are written _CHUNK_ROWS to a block, and a block read runs to the first
+# newline at least _CHUNK_CHARS characters past its start.
+_CHUNK_ROWS = 1 << 12
+_CHUNK_CHARS = 1 << 17
+
+_PHASE_CODES = np.array([ord(c) for c in "PHASE "], dtype=np.uint32)
+
+
+def _phase_blocks(theta: NDArray[np.float64], total: int) -> Iterator[str]:
+    """The PHASE lines of a table, one newline-terminated block at a time.
+
+    Each line's "PHASE <bits> " prefix is assembled as UCS-4 code points and
+    viewed as a string; each distinct phase of a block is formatted once.
+    """
+    width = len(_PHASE_CODES) + (total + 1 if total else 0)
+    for start in range(0, theta.size, _CHUNK_ROWS):
+        stop = min(theta.size, start + _CHUNK_ROWS)
+        x = np.arange(start, stop)
+        cells = np.empty((x.size, width), dtype=np.uint32)
+        cells[:, : len(_PHASE_CODES)] = _PHASE_CODES
+        for column in range(total):
+            cells[:, len(_PHASE_CODES) + column] = ord("0") + ((x >> (total - 1 - column)) & 1)
+        if total:
+            cells[:, -1] = ord(" ")
+        distinct, inverse = np.unique(theta[start:stop], return_inverse=True)
+        values = [format_float(v) + "\n" for v in distinct.tolist()]
+        pieces: list[str] = [""] * (2 * x.size)
+        pieces[0::2] = cells.view(f"U{width}").ravel().tolist()
+        pieces[1::2] = map(values.__getitem__, inverse.tolist())
+        yield "".join(pieces)
+
+
+def _chunks(text: str) -> Iterator[str]:
+    """Consecutive slices of text, each ending at a newline, except the last."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1
+        if stop == 0:
+            stop = len(text)
+        yield text[start:stop]
+        start = stop
+
+
+# A block of nothing but three-token PHASE lines tokenizes with one split().
+_PLAIN_PHASE_LINES = re.compile(r"(?:[ \t]*PHASE[ \t]+\S+[ \t]+\S+[ \t]*\r?\n)*")
+_QUBIT = re.compile(r"q\d+")
+_QUBIT_LIST = re.compile(r"q\d+(?:,q\d+)*")
 _MODE_NOTE = re.compile(r"^mode:\s*(\S+)$")
 
 
-def _parse_angle(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad angle {token!r}") from None
-    if not math.isfinite(value):
-        raise FormatError(f"line {lineno}: angle must be finite")
-    return value
+def _angle_values(tokens: list[str]) -> tuple[NDArray[np.float64], tuple[int, str] | None]:
+    """Angles of the tokens by float(), plus the first token that is not one.
 
-
-def parse_circuit(text: str) -> ParsedCircuit:
-    """Parse a circuit file, validating sizes, duplicates, and ranges.
-
-    Raises FormatError with a line number on the first malformed line.
+    float() runs once per distinct token.  The error is (index, message).
     """
-    m = n = total = -1
-    saw_header = False
-    mode: str | None = None
-    global_phase: float | None = None
-    xrots: list[tuple[tuple[int, ...], float]] = []
-    xrot_masks: set[int] = set()
-    phases: dict[int, float] = {}
+    lookup: dict[str, float] = dict.fromkeys(tokens, math.nan)
+    unparsed = set()
+    for token in lookup:
+        try:
+            lookup[token] = float(token)
+        except ValueError:
+            unparsed.add(token)
+    values = np.fromiter(map(lookup.__getitem__, tokens), np.float64, len(tokens))
+    limit = len(tokens)
+    if unparsed:
+        limit = next(i for i, token in enumerate(tokens) if token in unparsed)
+    nonfinite = np.flatnonzero(~np.isfinite(values[:limit]))
+    if nonfinite.size:
+        return values, (int(nonfinite[0]), "angle must be finite")
+    if limit < len(tokens):
+        return values, (limit, f"bad angle {tokens[limit]!r}")
+    return values, None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line, _, comment = raw.partition("#")
-        note = _MODE_NOTE.match(comment.strip())
-        if note and mode is None and note.group(1) in ("exact", "approx"):
-            mode = note.group(1)
-        tokens = line.split()
-        if not tokens:
-            continue
+
+def _bit_keys(bits: list[str], width: int) -> tuple[NDArray[np.int64], int]:
+    """Basis indices of bitstring tokens, and the index of the first malformed one.
+
+    The tokens are checked and converted through a uint8 view of their
+    characters, one bit column at a time.  Without a malformed token the
+    index is len(bits).
+    """
+    count = len(bits)
+    if set(map(len, bits)) - {width}:
+        count = next(i for i, token in enumerate(bits) if len(token) != width)
+    chars = "".join(bits[:count]).encode("ascii", "replace")
+    cells = np.frombuffer(chars, dtype=np.uint8).reshape(count, width)
+    keys = np.zeros(count, dtype=np.int64)
+    bad = np.zeros(count, dtype=bool)
+    for column in cells.T:
+        digit = column - ord("0")  # characters below "0" wrap past 1
+        bad |= digit > 1
+        keys <<= 1
+        keys |= digit
+    malformed = np.flatnonzero(bad)
+    return keys, int(malformed[0]) if malformed.size else count
+
+
+def _first_duplicate(keys: NDArray[np.int64], seen: NDArray[np.bool_]) -> int | None:
+    """Index of the first key that is in seen or occurs earlier in keys."""
+    repeated = seen[keys]
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
+    hits = np.flatnonzero(repeated)
+    return int(hits[0]) if hits.size else None
+
+
+class _CircuitReader:
+    """Parser state carried from one block of circuit text to the next.
+
+    Each block's PHASE and XROT lines are validated together as arrays.  A
+    block raises FormatError for its first malformed line, so errors come
+    out in file order with the messages of a line-by-line reading.
+    """
+
+    def __init__(self) -> None:
+        self.m = self.n = self.total = -1
+        self.saw_header = False
+        self.mode: str | None = None
+        self.global_phase: float | None = None
+        self.theta: NDArray[np.float64] | None = None
+        self.phase_seen: NDArray[np.bool_] | None = None
+        self.xrots: list[tuple[tuple[int, ...], float]] = []
+        self.xrot_seen: NDArray[np.bool_] | None = None
+
+    def read(self, block: str, first: int) -> int:
+        """Parse a block whose first line is line `first`; return its line count."""
+        if (
+            self.saw_header
+            and self.total
+            and "#" not in block
+            and _PLAIN_PHASE_LINES.fullmatch(block)
+        ):
+            tokens = block.split()
+            count = len(tokens) // 3
+            error = self._phases(range(first, first + count), tokens[1::3], tokens[2::3])
+            if error is not None:
+                raise FormatError("line {}: {}".format(*error))
+            return count
+
+        lines = block.splitlines()
+        phase_at: list[int] = []
+        bits: list[str] = []
+        phase_angles: list[str] = []
+        xrot_at: list[int] = []
+        xrot_angles: list[str] = []
+        qubits: list[str] = []
+        stop: FormatError | None = None
+        for lineno, raw in enumerate(lines, start=first):
+            line, hashmark, comment = raw.partition("#")
+            if hashmark and self.mode is None:
+                note = _MODE_NOTE.match(comment.strip())
+                if note and note.group(1) in ("exact", "approx"):
+                    self.mode = note.group(1)
+            tokens = line.split()
+            if not tokens:
+                continue
+            keyword = tokens[0]
+            try:
+                if keyword == "PHASE" and self.saw_header:
+                    if len(tokens) != (3 if self.total else 2):
+                        # zero-qubit circuits have one basis state and no bitstring
+                        wanted = "a bitstring and angle" if self.total else "an angle"
+                        raise FormatError(f"line {lineno}: PHASE takes {wanted}")
+                    phase_at.append(lineno)
+                    bits.append(tokens[1] if self.total else "")
+                    phase_angles.append(tokens[-1])
+                elif keyword == "XROT" and self.saw_header:
+                    if len(tokens) < 3:
+                        raise FormatError(f"line {lineno}: XROT takes an angle and qubits")
+                    xrot_at.append(lineno)
+                    xrot_angles.append(tokens[1])
+                    qubits.append("".join(tokens[2:]))
+                else:
+                    self._line(tokens, lineno)
+            except FormatError as exc:
+                stop = exc
+                break
+        # every line gathered precedes `stop`, so their errors come first
+        errors = []
+        if phase_at:
+            errors.append(self._phases(phase_at, bits, phase_angles))
+        if xrot_at:
+            errors.append(self._xrots(xrot_at, xrot_angles, qubits))
+        found = [error for error in errors if error is not None]
+        if found:
+            raise FormatError("line {}: {}".format(*min(found)))
+        if stop is not None:
+            raise stop
+        return len(lines)
+
+    def _line(self, tokens: list[str], lineno: int) -> None:
+        """One HEADER or GLOBALPHASE line, or any line before the header."""
         keyword = tokens[0]
-        if not saw_header:
+        if not self.saw_header:
             if keyword != "HEADER":
                 raise FormatError(f"line {lineno}: expected HEADER, got {keyword!r}")
             if len(tokens) != 3:
@@ -377,71 +535,123 @@ def parse_circuit(text: str) -> ParsedCircuit:
                     ) from None
             if set(sizes) != {"m", "n"} or sizes["m"] < 0 or sizes["n"] < 0:
                 raise FormatError(f"line {lineno}: HEADER needs m>=0 and n>=0")
-            m, n = sizes["m"], sizes["n"]
-            total = m + n
-            enforce_cap(total, DENSE_MAX_QUBITS, "circuit header")
-            saw_header = True
-            continue
-        if keyword == "HEADER":
+            self.m, self.n = sizes["m"], sizes["n"]
+            self.total = self.m + self.n
+            enforce_cap(self.total, DENSE_MAX_QUBITS, "circuit header")
+            self.saw_header = True
+        elif keyword == "HEADER":
             raise FormatError(f"line {lineno}: duplicate HEADER")
-        if keyword == "GLOBALPHASE":
+        elif keyword == "GLOBALPHASE":
             if len(tokens) != 2:
                 raise FormatError(f"line {lineno}: GLOBALPHASE takes one angle")
-            if global_phase is not None:
+            if self.global_phase is not None:
                 raise FormatError(f"line {lineno}: duplicate GLOBALPHASE")
-            global_phase = _parse_angle(tokens[1], lineno)
-        elif keyword == "XROT":
-            if len(tokens) < 3:
-                raise FormatError(f"line {lineno}: XROT takes an angle and qubits")
-            angle = _parse_angle(tokens[1], lineno)
-            support = []
-            for part in "".join(tokens[2:]).split(","):
-                match = _XROT_QUBIT.match(part)
-                if not match:
-                    raise FormatError(f"line {lineno}: bad qubit token {part!r}")
-                support.append(int(match.group(1)))
-            if sorted(set(support)) != support:
-                raise FormatError(f"line {lineno}: qubits must be ascending distinct")
-            if support[-1] >= total:
-                raise FormatError(f"line {lineno}: qubit q{support[-1]} outside header")
-            mask = mask_of_support(tuple(support), total)
-            if mask in xrot_masks:
-                raise FormatError(f"line {lineno}: duplicate XROT support")
-            xrot_masks.add(mask)
-            xrots.append((tuple(support), angle))
-        elif keyword == "PHASE":
-            if total == 0:
-                # zero-qubit circuits have one basis state and no bitstring
-                if len(tokens) != 2:
-                    raise FormatError(f"line {lineno}: PHASE takes an angle")
-                if 0 in phases:
-                    raise FormatError(f"line {lineno}: duplicate PHASE")
-                phases[0] = _parse_angle(tokens[1], lineno)
-                continue
-            if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: PHASE takes a bitstring and angle")
-            bits = tokens[1]
-            if len(bits) != total or any(c not in "01" for c in bits):
-                raise FormatError(
-                    f"line {lineno}: bitstring {bits!r} is not {total} bits"
-                )
-            x = int(bits, 2)
-            if x in phases:
-                raise FormatError(f"line {lineno}: duplicate PHASE for {bits!r}")
-            phases[x] = _parse_angle(tokens[2], lineno)
+            values, error = _angle_values(tokens[1:])
+            if error is not None:
+                raise FormatError(f"line {lineno}: {error[1]}")
+            self.global_phase = float(values[0])
         else:
             raise FormatError(f"line {lineno}: unknown keyword {keyword!r}")
 
-    if not saw_header:
-        raise FormatError("missing HEADER line")
-    table = None
-    if phases:
-        theta = np.zeros(1 << total, dtype=np.float64)
-        for x, value in phases.items():
-            theta[x] = value
-        table = PhaseTable(m, n, theta)
-    gates = None
-    if global_phase is not None or xrots:
-        phase = global_phase if global_phase is not None else 0.0
-        gates = GateList(total, phase, tuple(xrots))
-    return ParsedCircuit(m, n, table, gates, mode)
+    def _phases(
+        self, at: Sequence[int], bits: list[str], angles: list[str]
+    ) -> tuple[int, str] | None:
+        """Store a block's PHASE lines, or return (line, message) of the first bad one.
+
+        `at` gives the line number of each; bits are "" when total is 0.
+        """
+        total = self.total
+        if self.theta is None:
+            self.theta = np.zeros(1 << total, dtype=np.float64)
+            self.phase_seen = np.zeros(1 << total, dtype=bool)
+        keys, limit = _bit_keys(bits, total)
+        error = None
+        if limit < len(bits):
+            error = f"bitstring {bits[limit]!r} is not {total} bits"
+        duplicate = _first_duplicate(keys[:limit], self.phase_seen)
+        if duplicate is not None:
+            limit = duplicate
+            error = f"duplicate PHASE for {bits[limit]!r}" if total else "duplicate PHASE"
+        values, bad_angle = _angle_values(angles[:limit])
+        if bad_angle is not None:
+            limit, error = bad_angle
+        if error is not None:
+            return at[limit], error
+        self.phase_seen[keys] = True
+        self.theta[keys] = values
+        return None
+
+    def _xrots(
+        self, at: list[int], angles: list[str], qubits: list[str]
+    ) -> tuple[int, str] | None:
+        """Store a block's XROT lines, or return (line, message) of the first bad one.
+
+        qubits holds each line's qubit list with the spaces taken out.
+        """
+        total = self.total
+        if self.xrot_seen is None:
+            self.xrot_seen = np.zeros(1 << total, dtype=bool)
+        values, bad_angle = _angle_values(angles)
+        limit, error = bad_angle or (len(at), None)
+        listed = ",".join(qubits[:limit])
+        if limit and not _QUBIT_LIST.fullmatch(listed):
+            for i, parts in enumerate(qubits[:limit]):
+                part = next((p for p in parts.split(",") if not _QUBIT.fullmatch(p)), None)
+                if part is not None:
+                    limit, error = i, f"bad qubit token {part!r}"
+                    listed = ",".join(qubits[:limit])
+                    break
+        if not limit:
+            return at[0], error
+        indices = list(map(int, listed.replace("q", "").split(",")))
+        # an index past int64 makes an object array, which compares the same
+        q = np.array(indices)
+        counts = np.array([parts.count(",") + 1 for parts in qubits[:limit]])
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        line_of = np.repeat(np.arange(limit), counts)
+        unordered = line_of[1:][(q[1:] <= q[:-1]) & (line_of[1:] == line_of[:-1])]
+        if unordered.size:
+            limit, error = int(unordered[0]), "qubits must be ascending distinct"
+        tops = q[ends[:limit] - 1]
+        outside = np.flatnonzero(tops >= total)
+        if outside.size:
+            limit = int(outside[0])
+            error = f"qubit q{int(tops[limit])} outside header"
+        if limit:
+            bits = np.left_shift(1, total - 1 - q[: ends[limit - 1]].astype(np.int64))
+            masks = np.bitwise_or.reduceat(bits, starts[:limit])
+            duplicate = _first_duplicate(masks, self.xrot_seen)
+            if duplicate is not None:
+                limit, error = duplicate, "duplicate XROT support"
+        if error is not None:
+            return at[limit], error
+        self.xrot_seen[masks] = True
+        supports = (tuple(indices[a:b]) for a, b in zip(starts.tolist(), ends.tolist()))
+        self.xrots.extend(zip(supports, values.tolist()))
+        return None
+
+    def result(self) -> ParsedCircuit:
+        """The parsed circuit, once every block has been read."""
+        if not self.saw_header:
+            raise FormatError("missing HEADER line")
+        table = None
+        if self.theta is not None:
+            table = PhaseTable(self.m, self.n, self.theta)
+        gates = None
+        if self.global_phase is not None or self.xrots:
+            phase = self.global_phase if self.global_phase is not None else 0.0
+            gates = GateList(self.total, phase, tuple(self.xrots))
+        return ParsedCircuit(self.m, self.n, table, gates, self.mode)
+
+
+def parse_circuit(text: str) -> ParsedCircuit:
+    """Parse a circuit file, validating sizes, duplicates, and ranges.
+
+    Raises FormatError with a line number on the first malformed line.
+    """
+    reader = _CircuitReader()
+    lineno = 1
+    for block in _chunks(text):
+        lineno += reader.read(block, lineno)
+    return reader.result()

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, file formats, determinism."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from iqpsynth import cli
 from iqpsynth.cli import main
-from iqpsynth.probdist import parse_dist, serialize_dist, validate
+from iqpsynth.probdist import ProbVector, parse_dist, serialize_dist, validate
 
 
 @pytest.fixture
@@ -226,6 +229,41 @@ def test_oversized_circuit_header_exits_3(dist_file, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oversized_synth_table_exits_3(tmp_path, capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("the table must be refused before it is built")
+
+    for name in ("exact_phase_table", "round_to_dyadic", "build_multiplicity_map"):
+        monkeypatch.setattr(cli, name, build)
+    pair = tmp_path / "pair.json"
+    pair.write_text('{"n": 2, "probs": {"00": 0.5, "11": 0.5}}')
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"n": 12, "probs": {"000000000000": 1.0}}')
+    code, out, err = run(capsys, "synth", str(pair), "--mode", "approx", "--m", "40")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setenv("IQP_MAX_QUBITS", "20")
+    code, out, err = run(capsys, "synth", str(wide))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_marginal_disagreement_exits_4(dist_file, tmp_path, capsys, monkeypatch):
+    circuit = str(tmp_path / "c.txt")
+    run(capsys, "synth", dist_file, "-o", circuit)
+    exact = cli.marginal_full
+
+    def perturbed(table):
+        probs = exact(table).probs.copy()
+        probs[[0, 1]] += [1e-9, -1e-9]
+        return ProbVector(table.n, probs)
+
+    monkeypatch.setattr(cli, "marginal_full", perturbed)
+    code, out, err = run(capsys, "verify", circuit, dist_file)
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal") and err.count("\n") == 1
+
+
 def test_approx_vacuous_bound_warning(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text('{"n": 3, "dense": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}')
@@ -242,3 +280,40 @@ def test_atomic_write_leaves_no_droppings(dist_file, tmp_path, capsys):
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".iqpsynth-")]
     assert leftovers == []
     assert circuit.exists()
+
+
+def pinned_dist(n):
+    weights = [float((7 * j + 3) % 11) for j in range(1 << n)]
+    total = math.fsum(weights)
+    return serialize_dist(validate([w / total for w in weights], n)) + "\n"
+
+
+# sha256 of `synth` output, frozen so that every refactor of synthesis,
+# lowering or serialization must keep the circuit bytes.
+PINNED_SYNTH = (
+    (5, [], "ddce101bcf835740742e0260759c9dbd08b01132d95690088bdacc2da624672d"),
+    (
+        4,
+        ["--lower"],
+        "89cce87bfd0c4e46384aef3d8f239383320101d2d1c22e51af20c37bcf6d781d",
+    ),
+    (
+        4,
+        ["--mode", "approx", "--m", "6", "--format", "gates"],
+        "ab02bc2dec9a14d7d31f4d20d53eb25a5b0d5bbeee53ee0887d82f21a4fcc342",
+    ),
+    (
+        6,
+        ["--mode", "approx", "--m", "8"],
+        "e15a7ed13a513f428109dd45ed799733710d00cc048d561b3fcc9567c72cbd1d",
+    ),
+)
+
+
+@pytest.mark.parametrize("n, flags, digest", PINNED_SYNTH)
+def test_synth_bytes_are_pinned(n, flags, digest, tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    dist.write_text(pinned_dist(n))
+    circuit = tmp_path / "c.txt"
+    assert run(capsys, "synth", str(dist), *flags, "-o", str(circuit))[0] == 0
+    assert hashlib.sha256(circuit.read_bytes()).hexdigest() == digest

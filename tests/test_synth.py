@@ -1,13 +1,15 @@
 """Phase-table synthesis, gate lowering, and the circuit file format."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsynth._bits import parity
+from iqpsynth import synth
+from iqpsynth._bits import parity, support_of_mask
 from iqpsynth.decompose import build_multiplicity_map, decompose_2sparse, round_to_dyadic
 from iqpsynth.errors import (
     DimensionMismatch,
@@ -17,7 +19,7 @@ from iqpsynth.errors import (
     OutcomeOutOfRange,
     TooManyQubits,
 )
-from iqpsynth.probdist import tv_distance, validate
+from iqpsynth.probdist import format_float, tv_distance, validate
 from iqpsynth.sim import (
     StateVector,
     apply_hadamard_layer,
@@ -343,6 +345,17 @@ def test_circuit_parser_rejects_malformed():
         "HEADER m=1 n=1\nXROT 0.5\n",
         "HEADER m=1 n=1\nXROT 0.5 r0\n",
         "HEADER m=1 n=1\nFROBNICATE 12\n",
+        "HEADER m=1 n=1\nPHASE 00\n1.0\n",  # one PHASE line broken in two
+        "HEADER m=1 n=1\nPHASE 0x 1.0\n",
+        "HEADER m=1 n=1\nPHASE 00 inf\n",
+        "HEADER m=1 n=1\nPHASE 00 1.0.0\n",
+        "HEADER m=1 n=1\nPHASE 00 1.0 PHASE 01 2.0\n",
+        "HEADER m=0 n=0\nPHASE 1.0\nPHASE 2.0\n",
+        "HEADER m=0 n=0\nPHASE 0 1.0\n",
+        "HEADER m=1 n=1\nXROT 0.5 q1,q0\n",
+        "HEADER m=1 n=1\nXROT 0.5 q0\nXROT 0.25 q0\n",
+        "HEADER m=1 n=1\nXROT inf q0\n",
+        "HEADER m=1 n=1\nXROT 0.5 q0,\n",
     )
     for text in bad:
         with pytest.raises(FormatError):
@@ -358,3 +371,105 @@ def test_zero_qubit_circuit_round_trip():
     pt = PhaseTable(0, 0, [1.25])
     circ = round_trip(0, 0, table=pt)
     assert circ.table.theta.tolist() == [1.25]
+
+
+def big_circuit_lines():
+    rng = np.random.default_rng(3)
+    pt = PhaseTable(8, 6, rng.uniform(0.0, 2.0 * np.pi, 1 << 14))
+    text = serialize_circuit(8, 6, table=pt, mode="exact")
+    assert len(text) > 3 * synth._CHUNK_CHARS
+    return text.splitlines(keepends=True)
+
+
+def parse_error(lines):
+    with pytest.raises(FormatError) as info:
+        parse_circuit("".join(lines))
+    return str(info.value)
+
+
+def test_block_parser_errors_across_chunks():
+    lines = big_circuit_lines()
+    deep = 3 * len(lines) // 4
+    # a duplicate PHASE whose first occurrence lies chunks earlier
+    dup = lines.copy()
+    dup[deep] = lines[10]
+    bits = lines[10].split()[1]
+    assert parse_error(dup) == f"line {deep + 1}: duplicate PHASE for {bits!r}"
+    # a bad bitstring on each line around the ends of the first two chunks,
+    # which run to the first newline _CHUNK_CHARS or more past their start
+    text = "".join(lines)
+    second = text.index("\n", synth._CHUNK_CHARS) + 1 + synth._CHUNK_CHARS
+    ends = [text[:stop].count("\n") for stop in (synth._CHUNK_CHARS, second)]
+    for index in [i for end in ends for i in range(end - 1, end + 2)]:
+        bad = lines.copy()
+        bad[index] = "PHASE 2" + lines[index][len("PHASE 0") :]
+        bits = bad[index].split()[1]
+        assert parse_error(bad) == f"line {index + 1}: bitstring {bits!r} is not 14 bits"
+    inf = lines.copy()
+    inf[deep] = " ".join(lines[deep].split()[:2]) + " inf\n"
+    assert parse_error(inf) == f"line {deep + 1}: angle must be finite"
+    broken = lines.copy()
+    head, angle = lines[deep].rsplit(" ", 1)
+    broken[deep] = f"{head}\n{angle}"
+    message = f"line {deep + 1}: PHASE takes a bitstring and angle"
+    assert parse_error(broken) == message
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_circuit_parser_reads_any_layout(data):
+    m, n = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    total = m + n
+    angle = st.floats(-10.0, 10.0, allow_nan=False)
+    phases = data.draw(st.dictionaries(st.integers(0, (1 << total) - 1), angle))
+    rotations = {}
+    if total:
+        rotations = data.draw(st.dictionaries(st.integers(1, (1 << total) - 1), angle))
+    global_phase = data.draw(st.none() | angle)
+    mode = data.draw(st.sampled_from([None, "exact", "approx"]))
+
+    body = [("PHASE", x) for x in phases] + [("XROT", mask) for mask in rotations]
+    if global_phase is not None:
+        body.append(("GLOBALPHASE", None))
+    body = data.draw(st.permutations(body))
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = []
+    for keyword, key in body:
+        if keyword == "PHASE":
+            tokens = [keyword, format(key, f"0{total}b")] if total else [keyword]
+            tokens.append(format_float(phases[key]))
+        elif keyword == "XROT":
+            qubits = ",".join(f"q{q}" for q in support_of_mask(key, total))
+            tokens = [keyword, format_float(rotations[key]), qubits]
+        else:
+            tokens = [keyword, format_float(global_phase)]
+        line = data.draw(st.sampled_from(["", " ", "\t"]))
+        line += "".join(token + data.draw(space) for token in tokens)
+        if data.draw(st.booleans()):
+            line += "# trailing comment"
+        lines.append(line)
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(space))
+    if mode is not None:
+        lines.insert(data.draw(st.integers(0, len(lines))), f"# mode: {mode}")
+    text = "\n".join([f"HEADER m={m} n={n}", *lines]) + "\n"
+
+    # blocks of a few lines each, so that every layout spans block boundaries
+    with mock.patch.object(synth, "_CHUNK_CHARS", data.draw(st.integers(1, 80))):
+        circ = parse_circuit(text)
+    assert (circ.m, circ.n, circ.mode) == (m, n, mode)
+    if phases:
+        theta = np.zeros(1 << total)
+        theta[list(phases)] = list(phases.values())
+        assert np.array_equal(circ.table.theta, PhaseTable(m, n, theta).theta)
+    else:
+        assert circ.table is None
+    if rotations or global_phase is not None:
+        order = [key for keyword, key in body if keyword == "XROT"]
+        gates = tuple((support_of_mask(key, total), rotations[key]) for key in order)
+        phase = 0.0 if global_phase is None else global_phase
+        want = GateList(total, phase, gates)
+        assert circ.gates.gates == want.gates
+        assert circ.gates.global_phase == want.global_phase
+    else:
+        assert circ.gates is None
