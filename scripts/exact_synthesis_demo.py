@@ -66,7 +66,7 @@ def main(argv=None):
 
     if args.lower:
         g = walsh_lower(pt)
-        print(f"\nlowered to {len(g.gates)} X-rotation gates")
+        print(f"\nlowered to {len(g)} X-rotation gates")
         diag = apply_hadamard_layer(full_statevector(pt), range(pt.m + pt.n))
         gate = simulate_gates(g)
         print(f"gate path amplitude error = "

@@ -6,6 +6,9 @@ plus `--lower` and `--format gates` where 2n+1 <= 15; approx mode with
 --m n-1 and --m n+2, as a phase table and, where m+n <= 16, as gates.
 Prints the number of outputs and one sha256 over all per-output digests;
 two trees that print the same digest wrote the same bytes everywhere.
+A second line digests `iqpsynth simulate` output on every `--format gates`
+file, which pins the gate read path (parse_circuit, GateList,
+gates_to_phases, marginal_mixture) the same way.
 
 Usage:
     PYTHONPATH=src python3 scripts/synth_corpus.py [--digests out.json]
@@ -62,7 +65,9 @@ def jobs(n):
 
 
 def digest_corpus(workdir):
+    """Per-output digests of synth files, and of simulate on each gates file."""
     digests = {}
+    reads = {}
     for n in range(10):
         for tex in TEXTURES:
             for seed in range(3):
@@ -77,11 +82,17 @@ def digest_corpus(workdir):
                         code = main(["synth", dist, *flags, "-o", out])
                     if code != 0:
                         raise SystemExit(f"synth {tag} on n={n} {tex} s{seed}: exit {code}")
+                    key = f"n{n}_{tex}_s{seed}_{tag}"
                     with open(out, "rb") as handle:
-                        digests[f"n{n}_{tex}_s{seed}_{tag}"] = hashlib.sha256(
-                            handle.read()
-                        ).hexdigest()
-    return digests
+                        digests[key] = hashlib.sha256(handle.read()).hexdigest()
+                    if tag.endswith("_gates"):
+                        printed = io.StringIO()
+                        with contextlib.redirect_stdout(printed):
+                            code = main(["simulate", out])
+                        if code != 0:
+                            raise SystemExit(f"simulate {key}: exit {code}")
+                        reads[key] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+    return digests, reads
 
 
 def main_cli():
@@ -89,12 +100,13 @@ def main_cli():
     parser.add_argument("--digests", help="also write per-output digests as JSON")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        digests = digest_corpus(workdir)
+        digests, reads = digest_corpus(workdir)
     if args.digests:
         with open(args.digests, "w") as handle:
-            json.dump(digests, handle, indent=0, sort_keys=True)
-    total = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
-    print(f"{len(digests)} outputs; corpus digest {total}")
+            json.dump({"synth": digests, "simulate": reads}, handle, indent=0, sort_keys=True)
+    for label, found in (("outputs; corpus", digests), ("gate files simulated; read", reads)):
+        total = hashlib.sha256(json.dumps(found, sort_keys=True).encode()).hexdigest()
+        print(f"{len(found)} {label} digest {total}")
 
 
 if __name__ == "__main__":

@@ -55,19 +55,6 @@ def parity(values: np.ndarray | int) -> np.ndarray | int:
     return int(out) if np.isscalar(values) or out.ndim == 0 else out
 
 
-def mask_of_support(support: tuple[int, ...], total: int) -> int:
-    """Integer mask for a set of qubit indices (qubit 0 = most significant bit)."""
-    mask = 0
-    for q in support:
-        mask |= 1 << (total - 1 - q)
-    return mask
-
-
-def support_of_mask(mask: int, total: int) -> tuple[int, ...]:
-    """Inverse of mask_of_support; qubit indices in ascending order."""
-    return tuple(i for i in range(total) if (mask >> (total - 1 - i)) & 1)
-
-
 def wht_inplace(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, in place.
 

@@ -42,6 +42,7 @@ import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,9 +52,7 @@ from ._bits import (
     canonical_angle,
     canonical_phase,
     enforce_cap,
-    mask_of_support,
     parity,
-    support_of_mask,
     wht_inplace,
 )
 from .decompose import MultiplicityMap, decompose_2sparse
@@ -91,14 +90,14 @@ class PhaseTable:
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
             raise DimensionMismatch("qubit counts must be nonnegative")
-        theta = np.array(self.theta, dtype=np.float64, copy=True).ravel()
+        theta = np.asarray(self.theta, dtype=np.float64).ravel()
         if theta.shape[0] != 1 << (self.m + self.n):
             raise LengthMismatch(
                 f"expected {1 << (self.m + self.n)} phases, got {theta.shape[0]}"
             )
         if not np.all(np.isfinite(theta)):
             raise LengthMismatch("phases must be finite")
-        theta = canonical_phase(theta)
+        theta = canonical_phase(theta)  # a fresh array: the caller's is untouched
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
@@ -203,42 +202,40 @@ def approx_phase_table(vmap: MultiplicityMap, n: int) -> PhaseTable:
 class GateList:
     """X-rotation circuit: exp(i * angle * X_S) terms plus a global phase.
 
-    Each gate is (support, angle) with support an ascending tuple of
-    qubit indices; supports are unique across the list and angles are
-    stored canonically in (-pi, pi].  Gates commute, so list order is
-    physically irrelevant.
+    Gate i acts on the qubits set in masks[i] (nonzero, unique; qubit 0 is
+    the most significant of total_qubits bits) by angles[i], canonical in
+    (-pi, pi].  Both arrays are read-only.  Gates commute, so order is moot.
     """
 
     total_qubits: int
     global_phase: float
-    gates: tuple[tuple[tuple[int, ...], float], ...]
+    masks: NDArray[np.int64]
+    angles: NDArray[np.float64]
 
     def __post_init__(self) -> None:
         if self.total_qubits < 0:
             raise DimensionMismatch("qubit count must be nonnegative")
         if not math.isfinite(self.global_phase):
             raise LengthMismatch("global phase must be finite")
-        seen: set[tuple[int, ...]] = set()
-        supports = []
-        for raw_support, raw_angle in self.gates:
-            support = tuple(map(int, raw_support))
-            if not support:
-                raise LengthMismatch("gate supports must be nonempty")
-            if list(support) != sorted(set(support)):
-                raise LengthMismatch(f"support {support} must be ascending distinct")
-            if support[0] < 0 or support[-1] >= self.total_qubits:
-                raise DimensionMismatch(f"support {support} out of range")
-            if support in seen:
-                raise LengthMismatch(f"duplicate gate support {support}")
-            seen.add(support)
-            if not math.isfinite(raw_angle):
-                raise LengthMismatch("gate angles must be finite")
-            supports.append(support)
-        angles = canonical_angle(np.array([float(a) for _, a in self.gates], dtype=np.float64))
-        object.__setattr__(self, "gates", tuple(zip(supports, angles.tolist())))
+        masks = np.array(self.masks, dtype=np.int64)
+        angles = np.asarray(self.angles, dtype=np.float64)
+        if masks.ndim != 1 or masks.shape != angles.shape:
+            raise LengthMismatch("gate masks and angles must be 1-D and of one length")
+        if not masks.all():
+            raise LengthMismatch("gate supports must be nonempty")
+        if masks.size and (masks.min() < 0 or int(masks.max()) >> self.total_qubits):
+            raise DimensionMismatch(f"gate masks must lie in (0, 2**{self.total_qubits})")
+        if np.unique(masks).size != masks.size:
+            raise LengthMismatch("duplicate gate support")
+        if not np.all(np.isfinite(angles)):
+            raise LengthMismatch("gate angles must be finite")
+        angles = canonical_angle(angles)
+        masks.flags.writeable = angles.flags.writeable = False
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "angles", angles)
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return self.masks.size
 
 
 def walsh_lower(pt: PhaseTable) -> GateList:
@@ -256,9 +253,7 @@ def walsh_lower(pt: PhaseTable) -> GateList:
     c /= float(1 << total)
     angles = canonical_angle(c[1:])
     kept = np.flatnonzero(np.abs(angles) > GATE_TOL)
-    masks = (kept + 1).tolist()
-    gates = tuple(zip((support_of_mask(s, total) for s in masks), angles[kept].tolist()))
-    return GateList(total, float(c[0]), gates)
+    return GateList(total, float(c[0]), kept + 1, angles[kept])
 
 
 def gates_to_phases(g: GateList, m: int = 0) -> PhaseTable:
@@ -273,8 +268,7 @@ def gates_to_phases(g: GateList, m: int = 0) -> PhaseTable:
     enforce_cap(total, WALSH_MAX_QUBITS, "raising")
     c = np.zeros(1 << total, dtype=np.float64)
     c[0] = g.global_phase
-    for support, angle in g.gates:
-        c[mask_of_support(support, total)] += angle
+    c[g.masks] = g.angles
     return PhaseTable(m, total - m, wht_inplace(c))
 
 
@@ -313,9 +307,12 @@ def serialize_circuit(
     lines.append(f"HEADER m={m} n={n}")
     if gates is not None:
         lines.append(f"GLOBALPHASE {format_float(gates.global_phase)}")
-        for support, angle in gates.gates:
-            qubits = ",".join(f"q{q}" for q in support)
-            lines.append(f"XROT {format_float(angle)} {qubits}")
+        names = [f"q{q}" for q in range(m + n)]
+        for start in range(0, len(gates), _CHUNK_ROWS):
+            block = slice(start, start + _CHUNK_ROWS)
+            bits = (gates.masks[block, None] >> np.arange(m + n - 1, -1, -1)) & 1
+            for angle, row in zip(gates.angles[block].tolist(), bits.tolist()):
+                lines.append(f"XROT {format_float(angle)} {','.join(compress(names, row))}")
     head = "\n".join(lines) + "\n"
     if table is None:
         return head
@@ -445,7 +442,8 @@ class _CircuitReader:
         self.global_phase: float | None = None
         self.theta: NDArray[np.float64] | None = None
         self.phase_seen: NDArray[np.bool_] | None = None
-        self.xrots: list[tuple[tuple[int, ...], float]] = []
+        self.xrot_masks: list[NDArray[np.int64]] = []
+        self.xrot_angles: list[NDArray[np.float64]] = []
         self.xrot_seen: NDArray[np.bool_] | None = None
 
     def read(self, block: str, first: int) -> int:
@@ -603,9 +601,8 @@ class _CircuitReader:
                     break
         if not limit:
             return at[0], error
-        indices = list(map(int, listed.replace("q", "").split(",")))
         # an index past int64 makes an object array, which compares the same
-        q = np.array(indices)
+        q = np.array(list(map(int, listed.replace("q", "").split(","))))
         counts = np.array([parts.count(",") + 1 for parts in qubits[:limit]])
         ends = np.cumsum(counts)
         starts = ends - counts
@@ -627,8 +624,8 @@ class _CircuitReader:
         if error is not None:
             return at[limit], error
         self.xrot_seen[masks] = True
-        supports = (tuple(indices[a:b]) for a, b in zip(starts.tolist(), ends.tolist()))
-        self.xrots.extend(zip(supports, values.tolist()))
+        self.xrot_masks.append(masks)
+        self.xrot_angles.append(values)
         return None
 
     def result(self) -> ParsedCircuit:
@@ -639,9 +636,11 @@ class _CircuitReader:
         if self.theta is not None:
             table = PhaseTable(self.m, self.n, self.theta)
         gates = None
-        if self.global_phase is not None or self.xrots:
+        if self.global_phase is not None or self.xrot_masks:
             phase = self.global_phase if self.global_phase is not None else 0.0
-            gates = GateList(self.total, phase, tuple(self.xrots))
+            masks = np.concatenate([np.zeros(0, np.int64), *self.xrot_masks])
+            angles = np.concatenate([np.zeros(0), *self.xrot_angles])
+            gates = GateList(self.total, phase, masks, angles)
         return ParsedCircuit(self.m, self.n, table, gates, self.mode)
 
 

@@ -252,9 +252,11 @@ def test_criterion_7_gate_paths():
         from_gates = simulate_gates(g)
         overlap = abs(complex(np.vdot(reference.amps, from_gates.amps)))
         assert overlap >= 1.0 - 1e-9
-        shuffled = list(g.gates)
-        shuffler.shuffle(shuffled)
-        reordered = simulate_gates(GateList(total, g.global_phase, tuple(shuffled)))
+        order = list(range(len(g)))
+        shuffler.shuffle(order)
+        reordered = simulate_gates(
+            GateList(total, g.global_phase, g.masks[order], g.angles[order])
+        )
         shuffle_gap = float(np.abs(reordered.amps - from_gates.amps).max())
         assert shuffle_gap <= 1e-12
         back = gates_to_phases(g, m)

@@ -9,13 +9,12 @@ from iqpsynth._bits import (
     TAU,
     canonical_angle,
     canonical_phase,
-    mask_of_support,
     parity,
     qubit_cap,
-    support_of_mask,
     wht_inplace,
 )
 from iqpsynth.errors import FormatError
+from iqpsynth.synth import GateList, parse_circuit, serialize_circuit
 
 from helpers import oracle_wht
 
@@ -36,13 +35,16 @@ def test_parity_scalar_and_no_aliasing():
 
 
 def test_mask_round_trip_convention():
-    # qubit 0 is the most significant bit
-    assert mask_of_support((0,), 3) == 0b100
-    assert mask_of_support((2,), 3) == 0b001
-    assert mask_of_support((0, 2), 3) == 0b101
+    # qubit 0 is the most significant bit of a gate mask; qubit lists exist
+    # only in the XROT text
+    g = GateList(3, 0.0, [0b100, 0b001, 0b101], [0.5, 0.5, 0.5])
+    lines = serialize_circuit(0, 3, gates=g).splitlines()
+    assert [line.split()[-1] for line in lines[2:]] == ["q0", "q2", "q0,q2"]
     for total in range(1, 7):
-        for mask in range(1 << total):
-            assert mask_of_support(support_of_mask(mask, total), total) == mask
+        masks = np.arange(1, 1 << total)
+        g = GateList(total, 0.0, masks, np.full(masks.size, 0.5))
+        parsed = parse_circuit(serialize_circuit(0, total, gates=g)).gates
+        assert np.array_equal(parsed.masks, masks)
 
 
 @settings(derandomize=True, max_examples=60)

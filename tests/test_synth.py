@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpsynth import synth
-from iqpsynth._bits import parity, support_of_mask
+from iqpsynth._bits import parity
 from iqpsynth.decompose import build_multiplicity_map, decompose_2sparse, round_to_dyadic
 from iqpsynth.errors import (
     DimensionMismatch,
@@ -189,25 +189,42 @@ def test_phase_table_canonicalizes():
         pt.row(2)
 
 
+def test_phase_table_leaves_caller_array():
+    theta = np.array([7.0, -1.0, 0.5, 2.0 * np.pi])
+    pt = PhaseTable(1, 1, theta)
+    assert theta.tolist() == [7.0, -1.0, 0.5, 2.0 * np.pi]
+    assert theta.flags.writeable and not pt.theta.flags.writeable
+    assert not np.shares_memory(theta, pt.theta)
+
+
 def test_gatelist_validation():
+    with pytest.raises(LengthMismatch):  # a zero mask is an empty support
+        GateList(2, 0.0, [0], [0.5])
     with pytest.raises(LengthMismatch):
-        GateList(2, 0.0, (((), 0.5),))
-    with pytest.raises(LengthMismatch):
-        GateList(2, 0.0, (((0,), 0.5), ((0,), 0.25)))
+        GateList(2, 0.0, [0b10, 0b01, 0b10], [0.5, 0.25, 0.125])
     with pytest.raises(DimensionMismatch):
-        GateList(2, 0.0, (((2,), 0.5),))
+        GateList(2, 0.0, [0b100], [0.5])
+    with pytest.raises(DimensionMismatch):
+        GateList(2, 0.0, [-1], [0.5])
+    with pytest.raises(DimensionMismatch):
+        GateList(-1, 0.0, [], [])
     with pytest.raises(LengthMismatch):
-        GateList(2, 0.0, (((1, 0), 0.5),))
+        GateList(2, float("inf"), [], [])
     with pytest.raises(LengthMismatch):
-        GateList(2, float("inf"), ())
+        GateList(2, 0.0, [0b01, 0b10], [0.5, float("nan")])
+    with pytest.raises(LengthMismatch):
+        GateList(2, 0.0, [0b01, 0b10], [0.5])
+    with pytest.raises(LengthMismatch):
+        GateList(2, 0.0, [[0b01, 0b10]], [[0.5, 0.25]])
 
 
 def test_gatelist_canonicalizes_angles():
-    g = GateList(1, 0.0, (((0,), 7.0),))
-    assert abs(g.gates[0][1] - (7.0 - 2.0 * np.pi)) < 1e-15
-    assert GateList(1, 0.0, (((0,), -np.pi),)).gates[0][1] == np.pi
+    g = GateList(1, 0.0, [1], [7.0])
+    assert abs(g.angles[0] - (7.0 - 2.0 * np.pi)) < 1e-15
+    assert GateList(1, 0.0, [1], [-np.pi]).angles[0] == np.pi
+    assert not (g.masks.flags.writeable or g.angles.flags.writeable)
     # equivalent angles drive identical simulations
-    h = GateList(1, 0.0, (((0,), 7.0 - 2.0 * np.pi),))
+    h = GateList(1, 0.0, [1], [7.0 - 2.0 * np.pi])
     assert np.array_equal(simulate_gates(g).amps, simulate_gates(h).amps)
 
 
@@ -215,13 +232,12 @@ def test_walsh_frozen_single_qubit():
     pt = PhaseTable(0, 1, [0.0, np.pi])
     g = walsh_lower(pt)
     assert abs(g.global_phase - np.pi / 2) < 1e-15
-    assert len(g.gates) == 1
-    support, angle = g.gates[0]
-    assert support == (0,) and abs(angle + np.pi / 2) < 1e-15
+    assert len(g) == 1
+    assert g.masks.tolist() == [1] and abs(g.angles[0] + np.pi / 2) < 1e-15
 
 
 def test_gates_to_phases_frozen_single_qubit():
-    g = GateList(1, np.pi / 2, (((0,), np.pi / 2),))
+    g = GateList(1, np.pi / 2, [1], [np.pi / 2])
     pt = gates_to_phases(g)
     assert np.allclose(pt.theta, [np.pi, 0.0], atol=1e-15)
 
@@ -232,7 +248,7 @@ def test_walsh_round_trip(m, n, seed):
     rng = np.random.default_rng(seed)
     pt = PhaseTable(m, n, rng.uniform(0.0, 2.0 * np.pi, 1 << (m + n)))
     g = walsh_lower(pt)
-    assert len(g.gates) <= (1 << (m + n)) - 1
+    assert len(g) <= (1 << (m + n)) - 1
     back = gates_to_phases(g, m)
     delta = np.abs(back.theta - pt.theta)
     delta = np.minimum(delta, 2.0 * np.pi - delta)
@@ -250,11 +266,12 @@ def test_walsh_is_linear(m, n, seed):
     g_a = walsh_lower(PhaseTable(m, n, a))
     g_b = walsh_lower(PhaseTable(m, n, b))
     merged = {}
-    for support, angle in g_a.gates + g_b.gates:
-        merged[support] = merged.get(support, 0.0) + angle
-    summed = dict(g_sum.gates)
-    for support in merged.keys() | summed.keys():
-        d = abs(merged.get(support, 0.0) - summed.get(support, 0.0)) % (2.0 * np.pi)
+    for g in (g_a, g_b):
+        for mask, angle in zip(g.masks.tolist(), g.angles.tolist()):
+            merged[mask] = merged.get(mask, 0.0) + angle
+    summed = dict(zip(g_sum.masks.tolist(), g_sum.angles.tolist()))
+    for mask in merged.keys() | summed.keys():
+        d = abs(merged.get(mask, 0.0) - summed.get(mask, 0.0)) % (2.0 * np.pi)
         assert min(d, 2.0 * np.pi - d) <= 1e-9
     d = abs((g_a.global_phase + g_b.global_phase) - g_sum.global_phase)
     d %= 2.0 * np.pi
@@ -275,7 +292,7 @@ def test_gate_path_equals_table_path(m, n, seed):
 def test_walsh_drops_null_rotations():
     pt = PhaseTable(0, 2, np.full(4, 0.75))  # constant table: pure global phase
     g = walsh_lower(pt)
-    assert len(g.gates) == 0
+    assert len(g) == 0
     assert abs(g.global_phase - 0.75) < 1e-15
 
 
@@ -284,11 +301,11 @@ def test_walsh_qubit_cap(monkeypatch):
     with pytest.raises(TooManyQubits):
         walsh_lower(PhaseTable(2, 2, np.zeros(16)))
     with pytest.raises(TooManyQubits):
-        gates_to_phases(GateList(4, 0.0, ()), 2)
+        gates_to_phases(GateList(4, 0.0, [], []), 2)
 
 
 def test_gates_to_phases_split_bounds():
-    g = GateList(2, 0.0, ())
+    g = GateList(2, 0.0, [], [])
     with pytest.raises(DimensionMismatch):
         gates_to_phases(g, 3)
 
@@ -306,7 +323,8 @@ def test_circuit_file_round_trip(m, n, seed):
     circ = round_trip(m, n, table=pt, gates=g, mode="exact")
     assert circ.m == m and circ.n == n and circ.mode == "exact"
     assert np.array_equal(circ.table.theta, pt.theta)
-    assert circ.gates.gates == g.gates
+    assert np.array_equal(circ.gates.masks, g.masks)
+    assert np.array_equal(circ.gates.angles, g.angles)
     assert circ.gates.global_phase == g.global_phase
 
 
@@ -317,7 +335,8 @@ def test_circuit_file_blocks_are_optional():
     g = walsh_lower(pt)
     only_gates = round_trip(1, 1, gates=g)
     assert only_gates.table is None
-    assert only_gates.gates.gates == g.gates
+    assert np.array_equal(only_gates.gates.masks, g.masks)
+    assert np.array_equal(only_gates.gates.angles, g.angles)
     with pytest.raises(FormatError):
         serialize_circuit(1, 1)
 
@@ -439,7 +458,7 @@ def test_circuit_parser_reads_any_layout(data):
             tokens = [keyword, format(key, f"0{total}b")] if total else [keyword]
             tokens.append(format_float(phases[key]))
         elif keyword == "XROT":
-            qubits = ",".join(f"q{q}" for q in support_of_mask(key, total))
+            qubits = ",".join(f"q{q}" for q in range(total) if key >> (total - 1 - q) & 1)
             tokens = [keyword, format_float(rotations[key]), qubits]
         else:
             tokens = [keyword, format_float(global_phase)]
@@ -466,10 +485,10 @@ def test_circuit_parser_reads_any_layout(data):
         assert circ.table is None
     if rotations or global_phase is not None:
         order = [key for keyword, key in body if keyword == "XROT"]
-        gates = tuple((support_of_mask(key, total), rotations[key]) for key in order)
         phase = 0.0 if global_phase is None else global_phase
-        want = GateList(total, phase, gates)
-        assert circ.gates.gates == want.gates
+        want = GateList(total, phase, order, [rotations[key] for key in order])
+        assert np.array_equal(circ.gates.masks, want.masks)
+        assert np.array_equal(circ.gates.angles, want.angles)
         assert circ.gates.global_phase == want.global_phase
     else:
         assert circ.gates is None
