@@ -55,7 +55,7 @@ def main(argv=None):
         print(f"  {p.bitstring(j)}  {format_float(p.probs[j])}")
 
     parts = decompose_2sparse(p)
-    widths = [part.sparsity for part in parts]
+    widths = parts.sparsity.tolist()
     print(f"\n{len(parts)} mixture components, sparsity counts "
           f"{{1: {widths.count(1)}, 2: {widths.count(2)}}}")
 

@@ -8,7 +8,10 @@ Prints the number of outputs and one sha256 over all per-output digests;
 two trees that print the same digest wrote the same bytes everywhere.
 A second line digests `iqpsynth simulate` output on every `--format gates`
 file, which pins the gate read path (parse_circuit, GateList,
-gates_to_phases, marginal_mixture) the same way.
+gates_to_phases, marginal_mixture) the same way.  A third digests the
+`iqpsynth decompose --check` certificate and its stderr line at
+--sparsity 2 and 3 on every corpus input, which pins the decomposition
+(allocate_3sparse, split_3_to_2) and the reconstruction check.
 
 Usage:
     PYTHONPATH=src python3 scripts/synth_corpus.py [--digests out.json]
@@ -65,9 +68,11 @@ def jobs(n):
 
 
 def digest_corpus(workdir):
-    """Per-output digests of synth files, and of simulate on each gates file."""
+    """Per-output digests of synth files, of simulate on each gates file, and
+    of decompose certificates with their --check line."""
     digests = {}
     reads = {}
+    certs = {}
     for n in range(10):
         for tex in TEXTURES:
             for seed in range(3):
@@ -76,6 +81,18 @@ def digest_corpus(workdir):
                 dist = os.path.join(workdir, "dist.json")
                 with open(dist, "w") as handle:
                     handle.write(serialize_dist(p) + "\n")
+                for sparsity in ("2", "3"):
+                    out = os.path.join(workdir, "cert.json")
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        code = main(["decompose", dist, "--sparsity", sparsity,
+                                     "--check", "-o", out])
+                    key = f"n{n}_{tex}_s{seed}_s{sparsity}"
+                    if code != 0:
+                        raise SystemExit(f"decompose {key}: exit {code}")
+                    with open(out, "rb") as handle:
+                        blob = handle.read() + err.getvalue().encode()
+                    certs[key] = hashlib.sha256(blob).hexdigest()
                 for tag, flags in jobs(n):
                     out = os.path.join(workdir, "circuit.txt")
                     with contextlib.redirect_stderr(io.StringIO()):
@@ -92,7 +109,7 @@ def digest_corpus(workdir):
                         if code != 0:
                             raise SystemExit(f"simulate {key}: exit {code}")
                         reads[key] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
-    return digests, reads
+    return digests, reads, certs
 
 
 def main_cli():
@@ -100,11 +117,16 @@ def main_cli():
     parser.add_argument("--digests", help="also write per-output digests as JSON")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        digests, reads = digest_corpus(workdir)
+        digests, reads, certs = digest_corpus(workdir)
     if args.digests:
         with open(args.digests, "w") as handle:
-            json.dump({"synth": digests, "simulate": reads}, handle, indent=0, sort_keys=True)
-    for label, found in (("outputs; corpus", digests), ("gate files simulated; read", reads)):
+            json.dump({"synth": digests, "simulate": reads, "decompose": certs},
+                      handle, indent=0, sort_keys=True)
+    for label, found in (
+        ("outputs; corpus", digests),
+        ("gate files simulated; read", reads),
+        ("certificates; decompose", certs),
+    ):
         total = hashlib.sha256(json.dumps(found, sort_keys=True).encode()).hexdigest()
         print(f"{len(found)} {label} digest {total}")
 

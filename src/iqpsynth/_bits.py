@@ -44,15 +44,31 @@ def enforce_cap(qubits: int, default: int, what: str) -> None:
 
 def parity(values: np.ndarray | int) -> np.ndarray | int:
     """Bit parity (popcount mod 2) of nonnegative integers, elementwise."""
-    x = np.array(values, dtype=np.uint64, copy=True)
-    x ^= x >> np.uint64(32)
-    x ^= x >> np.uint64(16)
-    x ^= x >> np.uint64(8)
-    x ^= x >> np.uint64(4)
-    x ^= x >> np.uint64(2)
-    x ^= x >> np.uint64(1)
-    out = (x & np.uint64(1)).astype(np.int64)
+    out = (np.bitwise_count(np.asarray(values, dtype=np.uint64)) & 1).astype(np.int64)
     return int(out) if np.isscalar(values) or out.ndim == 0 else out
+
+
+def bit_keys(bits: list[str], width: int) -> tuple[np.ndarray, int]:
+    """Basis indices of bitstring tokens, and the index of the first malformed one.
+
+    The tokens are checked and converted through a uint8 view of their
+    characters, one bit column at a time.  Without a malformed token the
+    index is len(bits).
+    """
+    count = len(bits)
+    if set(map(len, bits)) - {width}:
+        count = next(i for i, token in enumerate(bits) if len(token) != width)
+    chars = "".join(bits[:count]).encode("ascii", "replace")
+    cells = np.frombuffer(chars, dtype=np.uint8).reshape(count, width)
+    keys = np.zeros(count, dtype=np.int64)
+    bad = np.zeros(count, dtype=bool)
+    for column in cells.T:
+        digit = column - ord("0")  # characters below "0" wrap past 1
+        bad |= digit > 1
+        keys <<= 1
+        keys |= digit
+    malformed = np.flatnonzero(bad)
+    return keys, int(malformed[0]) if malformed.size else count
 
 
 def wht_inplace(a: np.ndarray) -> np.ndarray:

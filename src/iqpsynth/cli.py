@@ -11,6 +11,7 @@ milliseconds and the only nondeterministic fields anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .decompose import (
     rows_to_dists,
 )
 from .errors import DimensionMismatch, FormatError, InternalError, IqpError, TooManyQubits
-from .probdist import ProbVector, format_float, parse_dist, sparse_probs_json, tv_distance
+from .probdist import ProbVector, format_float, parse_dist, tv_distance
 from .sim import DEFAULT_SEED, marginal_full, marginal_mixture, sample
 from .synth import (
     ParsedCircuit,
@@ -203,23 +204,29 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     else:
         parts = decompose_2sparse(p)
     weight = 1.0 / len(parts)
+    filled = parts.cols >= 0
+    outcomes = parts.cols[filled]
+    labels = [p.bitstring(j) for j in range(len(p))]
+    distinct, inverse = np.unique(parts.masses[filled], return_inverse=True)
+    values = [format_float(v) for v in distinct.tolist()]
+    items = [f'"{labels[j]}": {values[i]}' for j, i in zip(outcomes.tolist(), inverse.tolist())]
+    head = f'{{"weight": {format_float(weight)}, "probs": {{'
+    ends = np.cumsum(parts.sparsity).tolist()
     blocks = ",\n    ".join(
-        f'{{"weight": {format_float(weight)}, '
-        f'"probs": {sparse_probs_json(p.n, part.entries)}}}'
-        for part in parts
+        head + ", ".join(items[start:end]) + "}}"
+        for start, end in zip([0, *ends], ends)
     )
     text = f'{{"n": {p.n}, "components": [\n    {blocks}\n]}}\n'
     _emit(text, args.output)
     if args.check:
         mix = np.zeros(len(p), dtype=np.float64)
-        for part in parts:
-            for j, v in part.entries:
-                mix[j] += weight * v
+        np.add.at(mix, outcomes, weight * parts.masses[filled])
         err = float(np.abs(mix - p.probs).max())
         sys.stderr.write(f"max reconstruction error {format_float(err)}\n")
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iqpsynth",
@@ -269,9 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

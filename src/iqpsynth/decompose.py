@@ -39,98 +39,102 @@ SNAP = 1e-15
 DYADIC_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class SparseDist:
-    """Distribution over n-bit outcomes stored as (index, mass) pairs.
+def _fsum_rows(vals: NDArray[np.float64]) -> NDArray[np.float64]:
+    """math.fsum of each row of a 2-D array."""
+    if vals.shape[1] <= 2:  # one addition rounds once, as fsum does
+        return vals.sum(axis=1)
+    return np.array([math.fsum(row) for row in vals.tolist()])
 
-    Entries are kept in ascending index order with strictly positive
-    masses summing to 1 within 1e-12.
+
+def _freeze_rows(holder, vals_name: str, size: int, error: type[Exception], what: str):
+    """Replace a holder's cols and values by checked, read-only arrays.
+
+    Filled slots (cols >= 0) come first in each row, ascending and distinct
+    within [0, size), with positive values; empty slots hold -1 and 0.0.
+    Anything else raises error naming the first bad row.
+    """
+    cols = np.array(holder.cols, dtype=np.int64)
+    vals = np.array(getattr(holder, vals_name), dtype=np.float64)
+    if cols.ndim != 2 or cols.shape != vals.shape:
+        raise error(f"{what} columns and values must be 2-D arrays of one shape")
+    filled = cols >= 0
+    for message, bad in (
+        ("entries must be distinct and ascending",
+         filled[:, 1:] & ~(filled[:, :-1] & (cols[:, 1:] > cols[:, :-1]))),
+        (f"entries must lie in [0, {size})", (cols < -1) | (cols >= size)),
+        ("values must be positive", np.where(filled, ~(vals > 0.0), vals != 0.0)),
+    ):
+        if bad.any():
+            raise error(f"{what} {bad.any(axis=1).argmax()}: {message}")
+    cols.flags.writeable = vals.flags.writeable = False
+    object.__setattr__(holder, "cols", cols)
+    object.__setattr__(holder, vals_name, vals)
+
+
+@dataclass(frozen=True, eq=False)
+class Mixture:
+    """Uniform mixture of len(self) sparse distributions over n bits.
+
+    Component k puts masses[k, t] on outcome cols[k, t] for each filled
+    slot t of the padded (K, s) arrays, laid out as _freeze_rows checks.
+    Each component's masses sum to 1 within 1e-12, so none is empty.
     """
 
     n: int
-    entries: tuple[tuple[int, float], ...]
+    cols: NDArray[np.int64]
+    masses: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        entries = tuple((int(j), float(v)) for j, v in self.entries)
-        if not entries:
-            raise LengthMismatch("a distribution needs at least one entry")
-        indices = [j for j, _ in entries]
-        if sorted(set(indices)) != indices:
-            raise LengthMismatch("entry indices must be distinct and ascending")
-        if indices[0] < 0 or indices[-1] >= 1 << self.n:
-            raise LengthMismatch(f"indices must lie in [0, {1 << self.n})")
-        if any(v <= 0.0 for _, v in entries):
-            raise LengthMismatch("entry masses must be strictly positive")
-        total = math.fsum(v for _, v in entries)
-        if abs(total - 1.0) > 1e-12:
-            raise LengthMismatch(f"masses sum to {total!r}, expected 1 within 1e-12")
-        object.__setattr__(self, "entries", entries)
+        _freeze_rows(self, "masses", 1 << self.n, LengthMismatch, "component")
+        totals = _fsum_rows(self.masses)
+        off = np.abs(totals - 1.0) > 1e-12
+        if off.any():
+            k = off.argmax()
+            raise LengthMismatch(f"component {k} masses sum to {float(totals[k])!r}, expected 1")
+
+    def __len__(self) -> int:
+        return self.cols.shape[0]
 
     @property
-    def sparsity(self) -> int:
-        return len(self.entries)
-
-    def to_dense(self) -> NDArray[np.float64]:
-        arr = np.zeros(1 << self.n, dtype=np.float64)
-        for j, v in self.entries:
-            arr[j] = v
-        return arr
+    def sparsity(self) -> NDArray[np.int64]:
+        """Number of entries of each component."""
+        return np.count_nonzero(self.cols >= 0, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationMatrix:
     """N x N nonnegative matrix with row sums 1/N and column sums p.
 
-    Rows are stored sparsely as tuples of (column, value) with at most 3
-    entries each, ascending by column.
+    Row i holds vals[i, t] in column cols[i, t] for each filled slot t of
+    padded (N, s) arrays laid out as _freeze_rows checks; at most 3 a row.
     """
 
     N: int
-    rows: tuple[tuple[tuple[int, float], ...], ...]
+    cols: NDArray[np.int64]
+    vals: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.N:
-            raise DimensionMismatch(f"expected {self.N} rows, got {len(self.rows)}")
-        rows = tuple(
-            tuple((int(c), float(v)) for c, v in row) for row in self.rows
-        )
-        for i, row in enumerate(rows):
-            if len(row) > 3:
-                raise SparsityViolation(f"row {i} has {len(row)} entries")
-            cols = [c for c, _ in row]
-            if sorted(set(cols)) != cols:
-                raise DimensionMismatch(f"row {i} columns must be distinct ascending")
-            if cols and (cols[0] < 0 or cols[-1] >= self.N):
-                raise DimensionMismatch(f"row {i} column out of range")
-            if any(v <= 0.0 for _, v in row):
-                raise DimensionMismatch(f"row {i} stores a nonpositive value")
-        object.__setattr__(self, "rows", rows)
+        _freeze_rows(self, "vals", self.N, DimensionMismatch, "row")
+        if self.cols.shape[0] != self.N:
+            raise DimensionMismatch(f"expected {self.N} rows, got {self.cols.shape[0]}")
+        wide = np.count_nonzero(self.cols >= 0, axis=1) > 3
+        if wide.any():
+            raise SparsityViolation(f"row {wide.argmax()} has more than 3 entries")
 
     def row_sums(self) -> NDArray[np.float64]:
-        return np.array(
-            [math.fsum(v for _, v in row) for row in self.rows], dtype=np.float64
-        )
+        return _fsum_rows(self.vals)
 
     def column_sums(self) -> NDArray[np.float64]:
-        cols: list[list[float]] = [[] for _ in range(self.N)]
-        for row in self.rows:
-            for c, v in row:
-                cols[c].append(v)
-        return np.array([math.fsum(vals) for vals in cols], dtype=np.float64)
+        filled = self.cols >= 0
+        return np.bincount(self.cols[filled], self.vals[filled], minlength=self.N)
 
     def verify_against(self, p: ProbVector, tol: float = 1e-12) -> None:
-        """Check row sums, column sums, and sparsity against p.
-
-        Raises on the first violated invariant.
-        """
+        """Check row sums and column sums against p; raise on the first violation."""
         if 1 << p.n != self.N:
             raise DimensionMismatch(f"matrix is {self.N}x{self.N}, p has {1 << p.n}")
-        target = 1.0 / self.N
-        rows = self.row_sums()
-        if np.abs(rows - target).max() > tol:
+        if np.abs(self.row_sums() - 1.0 / self.N).max() > tol:
             raise DimensionMismatch(f"row sums deviate from 1/{self.N} beyond {tol}")
-        cols = self.column_sums()
-        if np.abs(cols - p.probs).max() > tol:
+        if np.abs(self.column_sums() - p.probs).max() > tol:
             raise DimensionMismatch(f"column sums deviate from p beyond {tol}")
 
 
@@ -147,21 +151,17 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
     values, perm = sort_with_permutation(p)
     target = 1.0 / N
 
-    k = 0
-    while k < N and values[k] < target:
-        k += 1
     # k rows carry a diagonal light entry; rows fill in order from there.
-    sorted_rows: list[list[tuple[int, float]]] = [[] for _ in range(N)]
-    capacity = np.full(N, target)
-    for i in range(k):
-        if values[i] > 0.0:
-            sorted_rows[i].append((i, float(values[i])))
-            capacity[i] -= values[i]
-
+    # Each entry is (row, slot, column, value): slots in the order poured,
+    # columns as indices into the sorted values.
+    k = int(np.searchsorted(values, target))
+    light = values[:k].tolist()
+    pours = [(i, 0, i, v) for i, v in enumerate(light) if v > 0.0]
+    width = [int(v > 0.0) for v in light] + [0] * (N - k)
+    capacity = [target - v for v in light] + [target] * (N - k)
     first_free = 0
     spilled = 0.0  # mass left over past the last row
-    for c in range(k, N):
-        remaining = float(values[c])
+    for c, remaining in enumerate(values[k:].tolist(), start=k):
         while first_free < N and capacity[first_free] <= SNAP:
             first_free += 1
         i = first_free
@@ -169,16 +169,20 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
             if i >= N:
                 spilled += remaining
                 break
-            take = min(float(capacity[i]), remaining)
+            take = min(capacity[i], remaining)
             if take > SNAP:
-                sorted_rows[i].append((c, take))
-                if len(sorted_rows[i]) > 3:
-                    raise SparsityViolation(
-                        f"row {i} exceeded 3 entries during allocation"
-                    )
+                if width[i] == 3:
+                    raise SparsityViolation(f"row {i} exceeded 3 entries during allocation")
+                pours.append((i, width[i], c, take))
+                width[i] += 1
                 capacity[i] -= take
                 remaining -= take
             i += 1
+    rows, slots, cols, takes = zip(*pours)
+    scols = np.full((N, 3), -1, dtype=np.int64)
+    svals = np.zeros((N, 3))
+    scols[rows, slots] = cols
+    svals[rows, slots] = takes
 
     # Float drift in the pour leaves some rows, mostly the last, a few ulps
     # off 1/N: enough at large N for rows_to_dists to reject them.  Each is
@@ -187,66 +191,62 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
     # gap (an empty row included) is a fault, not drift.
     if spilled > CLAMP_TOL:
         raise BadNormalization(f"{spilled!r} of mass left over past the last row")
-    for row in sorted_rows:
-        short = target - math.fsum(v for _, v in row)
-        if abs(short) > CLAMP_TOL:
-            raise BadNormalization(f"allocation row off 1/{N} by {-short!r}")
-        if short:
-            row[-1] = (row[-1][0], row[-1][1] + short)
+    short = target - _fsum_rows(svals)
+    off = np.abs(short) > CLAMP_TOL
+    if off.any():
+        raise BadNormalization(f"allocation row off 1/{N} by {float(-short[off.argmax()])!r}")
+    svals[np.arange(N), np.array(width) - 1] += short
 
-    rows = tuple(
-        tuple(sorted(((int(perm[c]), v) for c, v in row)))
-        for row in sorted_rows
-    )
-    return AllocationMatrix(N, rows)
+    # Back to outcome labels, each row ascending by column.
+    labels = np.where(scols >= 0, perm[scols], N)
+    order = np.argsort(labels, axis=1, kind="stable")
+    at = np.arange(N)[:, None]
+    labels = labels[at, order]
+    labels[labels == N] = -1
+    return AllocationMatrix(N, labels, svals[at, order])
 
 
-def rows_to_dists(q: AllocationMatrix) -> tuple[SparseDist, ...]:
+def rows_to_dists(q: AllocationMatrix) -> Mixture:
     """Rescale each allocation row by N into a distribution over n bits."""
-    n = q.N.bit_length() - 1
-    return tuple(
-        SparseDist(n, tuple((c, v * q.N) for c, v in row)) for row in q.rows
-    )
+    return Mixture(q.N.bit_length() - 1, q.cols, q.vals * q.N)
 
 
-def split_3_to_2(q: SparseDist) -> tuple[SparseDist, SparseDist]:
-    """Split a distribution with at most 3 entries into two 2-sparse halves.
+def split_3_to_2(rows: Mixture) -> Mixture:
+    """Split components padded to 3 slots into 2-sparse halves.
 
-    The halves mix uniformly back to q.  With entries (a, b, c) ascending
-    by mass, the first half holds a at double mass against c, the second
-    holds b at double mass against c.  Distributions already 2-sparse or
-    sharper return as both halves unchanged.
+    Component i becomes components 2i and 2i + 1, which mix uniformly back
+    to it.  With entries (a, b, c) ascending by mass (ties by outcome), the
+    first half holds a at double mass against c, the second holds b at
+    double mass against c; a half drops a nonpositive mass.  Components
+    already 2-sparse or sharper return as both halves unchanged.
     """
-    if q.sparsity > 3:
-        raise SparsityViolation(f"expected at most 3 entries, got {q.sparsity}")
-    if q.sparsity <= 2:
-        return q, q
-    order = sorted(range(3), key=lambda t: q.entries[t][1])
-    (a, pa), (b, pb), (c, _) = (q.entries[t] for t in order)
-    first = tuple(
-        (j, v) for j, v in ((a, 2.0 * pa), (c, 1.0 - 2.0 * pa)) if v > 0.0
-    )
-    second = tuple(
-        (j, v) for j, v in ((b, 2.0 * pb), (c, 1.0 - 2.0 * pb)) if v > 0.0
-    )
-    return (
-        SparseDist(q.n, tuple(sorted(first))),
-        SparseDist(q.n, tuple(sorted(second))),
-    )
+    if rows.cols.shape[1] != 3:
+        raise SparsityViolation(f"expected 3 slots a component, got {rows.cols.shape[1]}")
+    by_mass = np.argsort(rows.masses, axis=1, kind="stable")
+    at = np.arange(len(rows))[:, None]
+    cols, masses = rows.cols[at, by_mass], rows.masses[at, by_mass]
+
+    # Axes: component, half, entry; halves (a, c), (b, c) go in outcome order.
+    half_cols = cols[:, [[0, 2], [1, 2]]]
+    double = 2.0 * masses[:, :2, None]
+    half_masses = np.concatenate([double, 1.0 - double], axis=2)
+    kept = half_masses > 0.0
+    order = np.argsort(np.where(kept, half_cols, 1 << rows.n), axis=2, kind="stable")
+    half_cols = np.take_along_axis(np.where(kept, half_cols, -1), order, axis=2)
+    half_masses = np.take_along_axis(np.where(kept, half_masses, 0.0), order, axis=2)
+    three = (rows.sparsity == 3)[:, None, None]
+    half_cols = np.where(three, half_cols, rows.cols[:, None, :2])
+    half_masses = np.where(three, half_masses, rows.masses[:, None, :2])
+    return Mixture(rows.n, half_cols.reshape(-1, 2), half_masses.reshape(-1, 2))
 
 
-def decompose_2sparse(p: ProbVector) -> tuple[SparseDist, ...]:
+def decompose_2sparse(p: ProbVector) -> Mixture:
     """Write p as a uniform mixture of 2**(n+1) distributions, each 2-sparse.
 
     Allocation rows come out in order; each row contributes its two halves
     adjacently, so components 2i and 2i+1 belong to row i.
     """
-    parts: list[SparseDist] = []
-    for row_dist in rows_to_dists(allocate_3sparse(p)):
-        first, second = split_3_to_2(row_dist)
-        parts.append(first)
-        parts.append(second)
-    return tuple(parts)
+    return split_3_to_2(rows_to_dists(allocate_3sparse(p)))
 
 
 @dataclass(frozen=True)

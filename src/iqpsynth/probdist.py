@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, enforce_cap
+from ._bits import DENSE_MAX_QUBITS, bit_keys, enforce_cap
 from .errors import (
     BadNormalization,
     DimensionMismatch,
@@ -179,18 +179,14 @@ def sort_with_permutation(
     return p.probs[perm].copy(), perm
 
 
-def sparse_probs_json(n: int, entries) -> str:
-    """JSON object mapping n-bit strings to masses, from (index, mass) pairs."""
-    items = ", ".join(
-        f'"{format(j, f"0{n}b") if n else ""}": {format_float(v)}' for j, v in entries
-    )
-    return f"{{{items}}}"
-
-
 def serialize_dist(p: ProbVector) -> str:
     """Serialize to the sparse JSON text form with 17-significant-digit decimals."""
-    nonzero = ((j, v) for j, v in enumerate(p.probs.tolist()) if v != 0.0)
-    return f'{{"n": {p.n}, "probs": {sparse_probs_json(p.n, nonzero)}}}'
+    items = ", ".join(
+        f'"{p.bitstring(j)}": {format_float(v)}'
+        for j, v in enumerate(p.probs.tolist())
+        if v != 0.0
+    )
+    return f'{{"n": {p.n}, "probs": {{{items}}}}}'
 
 
 def parse_dist(text: str) -> ProbVector:
@@ -222,11 +218,14 @@ def parse_dist(text: str) -> ProbVector:
     probs = obj["probs"]
     if not isinstance(probs, dict):
         raise FormatError('"probs" must be an object keyed by bitstrings')
+    keys, values = list(probs), list(probs.values())
+    index, bad_key = bit_keys(keys, n)
+    # the first bad item in file order: a bad value before the first bad key
+    if set(map(type, values[:bad_key])) - {int, float}:  # json's bool is its own type
+        bad = next(i for i, v in enumerate(values) if type(v) not in (int, float))
+        raise FormatError(f"value for {keys[bad]!r} is not a number")
+    if bad_key < len(keys):
+        raise FormatError(f"key {keys[bad_key]!r} is not a {n}-bit string")
     arr = np.zeros(1 << n, dtype=np.float64)
-    for key, value in probs.items():
-        if len(key) != n or any(c not in "01" for c in key):
-            raise FormatError(f"key {key!r} is not a {n}-bit string")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FormatError(f"value for {key!r} is not a number")
-        arr[int(key, 2) if n else 0] = float(value)
+    arr[index] = values
     return validate(arr, n)

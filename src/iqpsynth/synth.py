@@ -49,6 +49,7 @@ from numpy.typing import NDArray
 
 from ._bits import (
     DENSE_MAX_QUBITS,
+    bit_keys,
     canonical_angle,
     canonical_phase,
     enforce_cap,
@@ -75,7 +76,7 @@ WALSH_MAX_QUBITS = 16
 MASS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseTable:
     """Diagonal phases over m hidden plus n visible qubits.
 
@@ -177,12 +178,12 @@ def exact_phase_table(p: ProbVector) -> PhaseTable:
     float rounding in the decomposition, with no dyadic loss.
     """
     parts = decompose_2sparse(p)
-    b1 = [part.entries[0][0] for part in parts]
-    b2 = [part.entries[-1][0] for part in parts]
+    b1, b2 = parts.cols.T  # b2 is -1 where a component has one outcome
     theta_star = [
-        _theta_star(min(part.entries[0][1], 1.0)) if part.sparsity > 1 else 0.0
-        for part in parts
+        _theta_star(min(mass, 1.0)) if b >= 0 else 0.0
+        for mass, b in zip(parts.masses[:, 0].tolist(), b2.tolist())
     ]
+    b2 = np.where(b2 >= 0, b2, b1)
     return PhaseTable(p.n + 1, p.n, _parity_rows(b1, b2, theta_star, p.n))
 
 
@@ -198,7 +199,7 @@ def approx_phase_table(vmap: MultiplicityMap, n: int) -> PhaseTable:
     return PhaseTable(vmap.m, n, _parity_rows(vmap.v, vmap.v, np.zeros(vmap.v.size), n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateList:
     """X-rotation circuit: exp(i * angle * X_S) terms plus a global phase.
 
@@ -394,29 +395,6 @@ def _angle_values(tokens: list[str]) -> tuple[NDArray[np.float64], tuple[int, st
     return values, None
 
 
-def _bit_keys(bits: list[str], width: int) -> tuple[NDArray[np.int64], int]:
-    """Basis indices of bitstring tokens, and the index of the first malformed one.
-
-    The tokens are checked and converted through a uint8 view of their
-    characters, one bit column at a time.  Without a malformed token the
-    index is len(bits).
-    """
-    count = len(bits)
-    if set(map(len, bits)) - {width}:
-        count = next(i for i, token in enumerate(bits) if len(token) != width)
-    chars = "".join(bits[:count]).encode("ascii", "replace")
-    cells = np.frombuffer(chars, dtype=np.uint8).reshape(count, width)
-    keys = np.zeros(count, dtype=np.int64)
-    bad = np.zeros(count, dtype=bool)
-    for column in cells.T:
-        digit = column - ord("0")  # characters below "0" wrap past 1
-        bad |= digit > 1
-        keys <<= 1
-        keys |= digit
-    malformed = np.flatnonzero(bad)
-    return keys, int(malformed[0]) if malformed.size else count
-
-
 def _first_duplicate(keys: NDArray[np.int64], seen: NDArray[np.bool_]) -> int | None:
     """Index of the first key that is in seen or occurs earlier in keys."""
     repeated = seen[keys]
@@ -562,7 +540,7 @@ class _CircuitReader:
         if self.theta is None:
             self.theta = np.zeros(1 << total, dtype=np.float64)
             self.phase_seen = np.zeros(1 << total, dtype=bool)
-        keys, limit = _bit_keys(bits, total)
+        keys, limit = bit_keys(bits, total)
         error = None
         if limit < len(bits):
             error = f"bitstring {bits[limit]!r} is not {total} bits"

@@ -132,8 +132,12 @@ def test_criterion_3_allocation_invariants():
         p = validate(random_dist(rng, n), n)
         q = allocate_3sparse(p)
         assert q.N == 1 << n
-        assert max(len(row) for row in q.rows) <= 3
-        assert all(v > 0.0 for row in q.rows for _, v in row)
+        rows = [
+            [(c, v) for c, v in zip(cols, vals) if c >= 0]
+            for cols, vals in zip(q.cols.tolist(), q.vals.tolist())
+        ]
+        assert max(len(row) for row in rows) <= 3
+        assert all(v > 0.0 for row in rows for _, v in row)
         worst_row = max(worst_row, float(np.abs(q.row_sums() - 1.0 / q.N).max()))
         worst_col = max(worst_col, float(np.abs(q.column_sums() - p.probs).max()))
         q.verify_against(p, tol=1e-12)
@@ -158,11 +162,12 @@ def test_criterion_4_two_sparse_decomposition():
         p = validate(random_dist(rng, n), n)
         parts = decompose_2sparse(p)
         assert len(parts) == 1 << (n + 1)
-        assert all(part.sparsity <= 2 for part in parts)
+        assert parts.sparsity.max() <= 2
         mixed = np.zeros(1 << n)
-        for part in parts:
-            for j, v in part.entries:
-                mixed[j] += v
+        for cols, masses in zip(parts.cols.tolist(), parts.masses.tolist()):
+            for j, v in zip(cols, masses):
+                if j >= 0:
+                    mixed[j] += v
         mixed /= len(parts)
         err = float(np.abs(mixed - p.probs).max())
         assert err <= 1e-12
@@ -310,7 +315,7 @@ def test_criterion_8_degenerate_inputs():
             q = allocate_3sparse(p)
             q.verify_against(p, tol=1e-12)
             parts = decompose_2sparse(p)
-            assert all(part.sparsity <= 2 for part in parts)
+            assert parts.sparsity.max() <= 2
             d = round_to_dyadic(p, n + 2)
             assert d.surplus == 0  # these inputs sit on the grid already
             assert np.array_equal(d.q.probs, p.probs)

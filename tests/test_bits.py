@@ -26,6 +26,16 @@ def test_parity_matches_popcount():
     assert np.array_equal(got, want)
 
 
+def test_parity_matches_popcount_up_to_63_bits():
+    rng = np.random.default_rng(63)
+    values = [0, 1, 2**62, 2**63 - 1] + [
+        int(v) >> int(s) for v, s in zip(rng.integers(0, 2**63, 2000), rng.integers(0, 63, 2000))
+    ]
+    got = parity(np.array(values, dtype=np.uint64))
+    assert got.tolist() == [bin(v).count("1") & 1 for v in values]
+    assert [parity(v) for v in values[:50]] == [bin(v).count("1") & 1 for v in values[:50]]
+
+
 def test_parity_scalar_and_no_aliasing():
     assert parity(0) == 0
     assert parity(7) == 1

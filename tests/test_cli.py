@@ -317,3 +317,77 @@ def test_synth_bytes_are_pinned(n, flags, digest, tmp_path, capsys):
     circuit = tmp_path / "c.txt"
     assert run(capsys, "synth", str(dist), *flags, "-o", str(circuit))[0] == 0
     assert hashlib.sha256(circuit.read_bytes()).hexdigest() == digest
+
+
+# sha256 of a `decompose --check` certificate followed by its stderr line, on
+# a spiky n=10 input, frozen so that a refactor of the decomposition must keep
+# every certificate byte and the reconstruction error bit for bit.
+PINNED_DECOMPOSE = (
+    ("2", "fd225443f67bbced9581ef69ea764c1f849c5d840c7b6fe596489e53155c0023"),
+    ("3", "2f70d73192d32df2b5a8dbd347c408ca4c60eb50e71e00b9b78251e951c4e8e7"),
+)
+
+
+@pytest.mark.parametrize("sparsity, digest", PINNED_DECOMPOSE)
+def test_decompose_bytes_are_pinned(sparsity, digest, tmp_path, capsys):
+    raw = np.random.default_rng(2).random(1 << 10) ** 4
+    dist = tmp_path / "dist.json"
+    dist.write_text(serialize_dist(validate(raw / math.fsum(raw), 10)) + "\n")
+    cert = tmp_path / "cert.json"
+    code, _, err = run(capsys, "decompose", str(dist), "--sparsity", sparsity,
+                       "--check", "-o", str(cert))
+    assert code == 0
+    assert hashlib.sha256(cert.read_bytes() + err.encode()).hexdigest() == digest
+
+
+def adversarial(texture, n):
+    """Raw masses that stress the exact path's floats at the extremes."""
+    size = 1 << n
+    rng = np.random.default_rng(n)
+    if texture == "subnormal_tail":
+        raw = np.full(size, 5e-324)
+        raw[size // 3] = 1.0
+    elif texture == "near_point":
+        raw = np.full(size, 1e-300)
+        raw[size - 1] = 1.0
+    elif texture == "point":
+        raw = np.zeros(size)
+        raw[size // 2] = 1.0
+    elif texture == "jitter":
+        raw = 1.0 / size + rng.uniform(-1e-17, 1e-17, size)
+    else:  # half subnormal: every other outcome a few ulps above zero
+        raw = rng.random(size)
+        raw[::2] = 5e-324 * rng.integers(1, 1000, size // 2)
+    return raw
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize(
+    "texture", ["subnormal_tail", "near_point", "point", "jitter", "half_subnormal"]
+)
+def test_adversarial_textures_round_trip(texture, n, tmp_path, capsys):
+    raw = adversarial(texture, n)
+    dist = tmp_path / "dist.json"
+    dist.write_text(serialize_dist(validate(raw / math.fsum(raw), n)) + "\n")
+    circuit = str(tmp_path / "c.txt")
+    assert run(capsys, "synth", str(dist), "-o", circuit)[0] == 0
+    code, out, _ = run(capsys, "verify", circuit, str(dist))
+    assert code == 0
+    assert json.loads(out)["tv_realized"] <= 1e-15
+    for sparsity in ("2", "3"):
+        code, _, err = run(capsys, "decompose", str(dist), "--sparsity", sparsity,
+                           "--check", "-o", str(tmp_path / "cert.json"))
+        assert code == 0 and err.startswith("max reconstruction error ")
+
+
+def test_parser_serves_repeated_calls(dist_file, capsys):
+    # one process, one parser: later calls see only their own arguments
+    code, out, _ = run(capsys, "decompose", dist_file, "--sparsity", "3")
+    assert code == 0 and len(json.loads(out)["components"]) == 4
+    code, out, _ = run(capsys, "synth", dist_file)
+    assert code == 0 and out.startswith("# mode: exact\n")
+    code, out, _ = run(capsys, "decompose", dist_file)
+    assert code == 0 and len(json.loads(out)["components"]) == 8
+    assert run(capsys, "decompose", dist_file, "--sparsity", "4")[0] == 2
+    assert run(capsys, "frobnicate")[0] == 2
+    assert cli._build_parser() is cli._build_parser()

@@ -1,5 +1,6 @@
 """Allocation, splitting, and dyadic rounding."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from iqpsynth.decompose import (
     AllocationMatrix,
-    SparseDist,
+    Mixture,
     allocate_3sparse,
     build_multiplicity_map,
     decompose_2sparse,
@@ -29,18 +30,34 @@ from iqpsynth.probdist import sort_with_permutation, tv_distance, validate
 from helpers import random_dist
 
 
+def entries(cols, vals):
+    """Rows of padded (cols, vals) arrays as tuples of (index, value) pairs."""
+    return tuple(
+        tuple((c, v) for c, v in zip(row_cols, row_vals) if c >= 0)
+        for row_cols, row_vals in zip(cols.tolist(), vals.tolist())
+    )
+
+
 def mix_back(parts, n):
     out = np.zeros(1 << n, dtype=np.float64)
-    for part in parts:
-        for j, v in part.entries:
+    for row in entries(parts.cols, parts.masses):
+        for j, v in row:
             out[j] += v / len(parts)
+    return out
+
+
+def dense(parts):
+    out = np.zeros((len(parts), 1 << parts.n))
+    for k, row in enumerate(entries(parts.cols, parts.masses)):
+        for j, v in row:
+            out[k, j] = v
     return out
 
 
 def test_allocation_frozen_example():
     p = validate([0.1, 0.1, 0.3, 0.5], 2)
     q = allocate_3sparse(p)
-    assert q.rows == (
+    assert entries(q.cols, q.vals) == (
         ((0, 0.1), (2, 0.15)),
         ((1, 0.1), (2, 0.15)),
         ((3, 0.25),),
@@ -52,18 +69,18 @@ def test_allocation_frozen_example():
 def test_allocation_point_mass():
     p = validate([0.0, 0.0, 1.0, 0.0], 2)
     q = allocate_3sparse(p)
-    assert q.rows == (((2, 0.25),),) * 4
+    assert entries(q.cols, q.vals) == (((2, 0.25),),) * 4
 
 
 def test_allocation_uniform_is_diagonal():
     p = validate([0.25] * 4, 2)
     q = allocate_3sparse(p)
-    assert q.rows == tuple(((j, 0.25),) for j in range(4))
+    assert entries(q.cols, q.vals) == tuple(((j, 0.25),) for j in range(4))
 
 
 def test_allocation_single_outcome_space():
     q = allocate_3sparse(validate([1.0], 0))
-    assert q.rows == (((0, 1.0),),)
+    assert entries(q.cols, q.vals) == (((0, 1.0),),)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -73,15 +90,16 @@ def test_allocation_invariants(n, seed):
     p = validate(random_dist(rng, n), n)
     q = allocate_3sparse(p)
     assert q.N == 1 << n
-    assert max(len(row) for row in q.rows) <= 3
+    assert max(len(row) for row in entries(q.cols, q.vals)) <= 3
     q.verify_against(p, tol=1e-12)
 
 
 def test_allocation_matrix_rejects_wide_rows():
+    cols = np.full((4, 4), -1)
+    vals = np.zeros((4, 4))
+    cols[0], vals[0] = [0, 1, 2, 3], [0.1, 0.05, 0.05, 0.05]
     with pytest.raises(SparsityViolation):
-        AllocationMatrix(
-            4, ((((0, 0.1), (1, 0.05), (2, 0.05), (3, 0.05)),) + ((),) * 3)
-        )
+        AllocationMatrix(4, cols, vals)
 
 
 def test_allocation_closes_drifting_rows():
@@ -89,8 +107,21 @@ def test_allocation_closes_drifting_rows():
     # which rows_to_dists then rejected as a bad distribution
     raw = np.random.default_rng(0).random(2**15) ** 4
     p = validate(raw / math.fsum(raw), 15)
-    allocate_3sparse(p).verify_against(p, tol=1e-12)
+    q = allocate_3sparse(p)
+    q.verify_against(p, tol=1e-12)
     assert len(decompose_2sparse(p)) == 2**16
+    # every entry, the closed ones included, is pinned to the bit; row 55
+    # of the second input is closed on the second of its two entries
+    rows = repr(entries(q.cols, q.vals)).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "b806b1f6641adb83fbba0658ca3b86520ce46ba38a21c9f3eef5c51fb271faf5"
+    )
+    raw = np.round(np.random.default_rng(229).random(2**7) * 10) / 10 + 1e-3
+    q = allocate_3sparse(validate(raw / math.fsum(raw), 7))
+    rows = repr(entries(q.cols, q.vals)).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "47f158b05eab2184a86ce4239c34140410d2cbb72734f20555a21b447c7286e5"
+    )
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
@@ -107,26 +138,58 @@ def test_allocation_bounds_leftover_mass(scale, monkeypatch):
 
 
 def test_split_frozen_example():
-    q = SparseDist(2, ((0, 0.2), (1, 0.3), (2, 0.5)))
-    first, second = split_3_to_2(q)
-    assert first.entries == ((0, 0.4), (2, 0.6))
-    assert second.entries == ((1, 0.6), (2, 0.4))
+    halves = split_3_to_2(Mixture(2, [[0, 1, 2]], [[0.2, 0.3, 0.5]]))
+    assert entries(halves.cols, halves.masses) == (((0, 0.4), (2, 0.6)), ((1, 0.6), (2, 0.4)))
+    # mass ties keep outcome order: a = 0, b = 1 against c = 3
+    halves = split_3_to_2(Mixture(2, [[0, 1, 3]], [[0.25, 0.25, 0.5]]))
+    assert entries(halves.cols, halves.masses) == (((0, 0.5), (3, 0.5)), ((1, 0.5), (3, 0.5)))
+    # b at double mass leaves nothing for c, so the second half drops it
+    halves = split_3_to_2(Mixture(2, [[0, 1, 2]], [[2.0**-60, 0.5, 0.5]]))
+    assert entries(halves.cols, halves.masses) == (
+        ((0, 2.0**-59), (2, 1.0 - 2.0**-59)),
+        ((1, 1.0),),
+    )
 
 
 def test_split_passthrough_below_3():
-    q = SparseDist(2, ((1, 0.5), (3, 0.5)))
-    assert split_3_to_2(q) == (q, q)
-    point = SparseDist(1, ((0, 1.0),))
-    assert split_3_to_2(point) == (point, point)
+    q = Mixture(2, [[1, 3, -1]], [[0.5, 0.5, 0.0]])
+    halves = split_3_to_2(q)
+    assert entries(halves.cols, halves.masses) == entries(q.cols, q.masses) * 2
+    point = Mixture(1, [[0, -1, -1]], [[1.0, 0.0, 0.0]])
+    halves = split_3_to_2(point)
+    assert entries(halves.cols, halves.masses) == (((0, 1.0),),) * 2
+
+
+def test_mixture_rejects_bad_components():
+    good = Mixture(2, [[0, 3], [2, -1]], [[0.5, 0.5], [1.0, 0.0]])
+    assert good.sparsity.tolist() == [2, 1] and len(good) == 2
+    assert not (good.cols.flags.writeable or good.masses.flags.writeable)
+    for cols, masses in (
+        ([[0, 3]], [[0.5, 0.4]]),  # sums to 0.9
+        ([[-1, -1]], [[0.0, 0.0]]),  # empty
+        ([[0, 4]], [[0.5, 0.5]]),  # outcome outside [0, 4)
+        ([[-2, 0]], [[0.0, 1.0]]),  # not a padding marker
+        ([[3, 0]], [[0.5, 0.5]]),  # descending
+        ([[-1, 0]], [[0.0, 1.0]]),  # padding before an entry
+        ([[0, -1]], [[1.0, 1e-300]]),  # padding that carries mass
+        ([[0, 1]], [[1.0, 0.0]]),  # an entry without mass
+        ([[0, 1]], [[1.5, -0.5]]),  # negative mass
+        ([[0, 1]], [[0.5]]),  # shapes differ
+    ):
+        with pytest.raises(LengthMismatch):
+            Mixture(2, cols, masses)
 
 
 def test_split_rejects_wide_input():
     with pytest.raises(LengthMismatch):
-        # SparseDist itself rejects nothing here; build a legal 4-entry one
-        SparseDist(1, ((0, 0.5), (0, 0.5)))
-    wide = SparseDist(2, ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)))
+        # Mixture itself rejects repeated outcomes
+        Mixture(1, [[0, 0]], [[0.5, 0.5]])
+    wide = Mixture(2, [[0, 1, 2, 3]], [[0.25, 0.25, 0.25, 0.25]])
     with pytest.raises(SparsityViolation):
         split_3_to_2(wide)
+    with pytest.raises(SparsityViolation):
+        # components come padded to exactly 3 slots
+        split_3_to_2(Mixture(2, [[1, 3]], [[0.5, 0.5]]))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -134,11 +197,12 @@ def test_split_rejects_wide_input():
 def test_split_mixes_back(n, seed):
     rng = np.random.default_rng(seed)
     p = validate(random_dist(rng, n), n)
-    for row_dist in rows_to_dists(allocate_3sparse(p)):
-        first, second = split_3_to_2(row_dist)
-        assert first.sparsity <= 2 and second.sparsity <= 2
-        mixed = (first.to_dense() + second.to_dense()) / 2.0
-        assert np.abs(mixed - row_dist.to_dense()).max() <= 1e-12
+    rows = rows_to_dists(allocate_3sparse(p))
+    halves = split_3_to_2(rows)
+    assert len(halves) == 2 * len(rows)
+    assert halves.sparsity.max() <= 2
+    mixed = (dense(halves)[0::2] + dense(halves)[1::2]) / 2.0
+    assert np.abs(mixed - dense(rows)).max() <= 1e-12
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -148,7 +212,7 @@ def test_decompose_2sparse_reconstructs(n, seed):
     p = validate(random_dist(rng, n), n)
     parts = decompose_2sparse(p)
     assert len(parts) == 1 << (n + 1)
-    assert all(part.sparsity <= 2 for part in parts)
+    assert all(len(row) <= 2 for row in entries(parts.cols, parts.masses))
     assert np.abs(mix_back(parts, n) - p.probs).max() <= 1e-12
 
 

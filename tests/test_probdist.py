@@ -176,6 +176,22 @@ def test_parse_rejects_malformed():
             parse_dist(text)
 
 
+def test_parse_reports_first_bad_item():
+    # keys and values are checked as one block, but the first bad item in
+    # file order is the one reported, its key before its value
+    cases = (
+        ('{"0": true, "2": 0.5}', "value for '0' is not a number"),
+        ('{"2": 0.5, "0": true}', "key '2' is not a 1-bit string"),
+        ('{"2": true, "0": 0.5}', "key '2' is not a 1-bit string"),
+        ('{"0": 0.5, "1": null}', "value for '1' is not a number"),
+        ('{"0": 0.5, "10": 0.5}', "key '10' is not a 1-bit string"),
+    )
+    for probs, message in cases:
+        with pytest.raises(FormatError) as info:
+            parse_dist(f'{{"n": 1, "probs": {probs}}}')
+        assert str(info.value) == message
+
+
 def test_parse_zero_bit_distribution():
     p = parse_dist('{"n": 0, "probs": {"": 1.0}}')
     assert p.n == 0 and p.probs.tolist() == [1.0]

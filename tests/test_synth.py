@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from iqpsynth import synth
 from iqpsynth._bits import parity
-from iqpsynth.decompose import build_multiplicity_map, decompose_2sparse, round_to_dyadic
+from iqpsynth.decompose import (
+    allocate_3sparse,
+    build_multiplicity_map,
+    decompose_2sparse,
+    round_to_dyadic,
+)
 from iqpsynth.errors import (
     DimensionMismatch,
     FormatError,
@@ -163,9 +168,10 @@ def test_tables_match_single_row_encoding_bit_for_bit(n, extra, seed):
     rng = np.random.default_rng(seed)
     p = validate(random_dist(rng, n), n)
     pt = exact_phase_table(p)
-    for j, part in enumerate(decompose_2sparse(p)):
-        b1, mass = part.entries[0]
-        b2 = part.entries[-1][0]
+    parts = decompose_2sparse(p)
+    for j, (cols, masses) in enumerate(zip(parts.cols.tolist(), parts.masses.tolist())):
+        b1, mass = cols[0], masses[0]
+        b2 = max(cols)
         row = uma_phases_for_pair(b1, b2, mass, n)
         assert np.array_equal(pt.row(j), row.theta)
         if b1 != b2:
@@ -216,6 +222,21 @@ def test_gatelist_validation():
         GateList(2, 0.0, [0b01, 0b10], [0.5])
     with pytest.raises(LengthMismatch):
         GateList(2, 0.0, [[0b01, 0b10]], [[0.5, 0.25]])
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a field-wise == over arrays would raise; these compare as objects
+    p = validate([0.1, 0.1, 0.3, 0.5], 2)
+    makers = (
+        lambda: GateList(2, 0.0, [1, 2], [0.5, 0.5]),
+        lambda: PhaseTable(1, 1, [0.0, 1.0, 2.0, 3.0]),
+        lambda: allocate_3sparse(p),
+        lambda: decompose_2sparse(p),
+    )
+    for make in makers:
+        first, second = make(), make()
+        assert (first == second) is False and (first != second) is True
+        assert (first == first) is True
 
 
 def test_gatelist_canonicalizes_angles():
