@@ -11,7 +11,11 @@ file, which pins the gate read path (parse_circuit, GateList,
 gates_to_phases, marginal_mixture) the same way.  A third digests the
 `iqpsynth decompose --check` certificate and its stderr line at
 --sparsity 2 and 3 on every corpus input, which pins the decomposition
-(allocate_3sparse, split_3_to_2) and the reconstruction check.
+(allocate_3sparse, split_3_to_2) and the reconstruction check.  A fourth
+digests the `iqpsynth verify` report, without its timings, and
+`iqpsynth simulate` output on every file that carries PHASE lines, which
+pins the phase-table read path (parse_circuit, marginal_mixture) and the
+dense cross-check that verify runs.
 
 Usage:
     PYTHONPATH=src python3 scripts/synth_corpus.py [--digests out.json]
@@ -67,12 +71,24 @@ def jobs(n):
             yield f"approx{m}_gates", [*flags, "--format", "gates"]
 
 
+def _printed(argv):
+    """Stdout of one CLI call, which must exit 0."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv[:2])}: exit {code}")
+    return printed.getvalue()
+
+
 def digest_corpus(workdir):
-    """Per-output digests of synth files, of simulate on each gates file, and
-    of decompose certificates with their --check line."""
+    """Per-output digests of synth files, of simulate on each gates file, of
+    decompose certificates with their --check line, and of verify plus
+    simulate on each phase-table file."""
     digests = {}
     reads = {}
     certs = {}
+    tables = {}
     for n in range(10):
         for tex in TEXTURES:
             for seed in range(3):
@@ -103,13 +119,14 @@ def digest_corpus(workdir):
                     with open(out, "rb") as handle:
                         digests[key] = hashlib.sha256(handle.read()).hexdigest()
                     if tag.endswith("_gates"):
-                        printed = io.StringIO()
-                        with contextlib.redirect_stdout(printed):
-                            code = main(["simulate", out])
-                        if code != 0:
-                            raise SystemExit(f"simulate {key}: exit {code}")
-                        reads[key] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
-    return digests, reads, certs
+                        reads[key] = hashlib.sha256(
+                            _printed(["simulate", out]).encode()).hexdigest()
+                    else:
+                        report = json.loads(_printed(["verify", out, dist]))
+                        del report["timings_ms"]
+                        blob = json.dumps(report) + _printed(["simulate", out])
+                        tables[key] = hashlib.sha256(blob.encode()).hexdigest()
+    return digests, reads, certs, tables
 
 
 def main_cli():
@@ -117,15 +134,16 @@ def main_cli():
     parser.add_argument("--digests", help="also write per-output digests as JSON")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        digests, reads, certs = digest_corpus(workdir)
+        digests, reads, certs, tables = digest_corpus(workdir)
     if args.digests:
         with open(args.digests, "w") as handle:
-            json.dump({"synth": digests, "simulate": reads, "decompose": certs},
-                      handle, indent=0, sort_keys=True)
+            json.dump({"synth": digests, "simulate": reads, "decompose": certs,
+                       "verify": tables}, handle, indent=0, sort_keys=True)
     for label, found in (
         ("outputs; corpus", digests),
         ("gate files simulated; read", reads),
         ("certificates; decompose", certs),
+        ("phase-table files verified; verify", tables),
     ):
         total = hashlib.sha256(json.dumps(found, sort_keys=True).encode()).hexdigest()
         print(f"{len(found)} {label} digest {total}")

@@ -9,6 +9,7 @@ A support set of qubit indices therefore maps to the integer mask
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -48,27 +49,21 @@ def parity(values: np.ndarray | int) -> np.ndarray | int:
     return int(out) if np.isscalar(values) or out.ndim == 0 else out
 
 
-def bit_keys(bits: list[str], width: int) -> tuple[np.ndarray, int]:
+def bit_keys(bits: Sequence[str], width: int) -> tuple[np.ndarray, int]:
     """Basis indices of bitstring tokens, and the index of the first malformed one.
 
-    The tokens are checked and converted through a uint8 view of their
-    characters, one bit column at a time.  Without a malformed token the
-    index is len(bits).
+    The tokens are checked and converted as one grid of digits, a uint8
+    view of their characters.  Without a malformed token the index is
+    len(bits).
     """
     count = len(bits)
     if set(map(len, bits)) - {width}:
         count = next(i for i, token in enumerate(bits) if len(token) != width)
     chars = "".join(bits[:count]).encode("ascii", "replace")
-    cells = np.frombuffer(chars, dtype=np.uint8).reshape(count, width)
-    keys = np.zeros(count, dtype=np.int64)
-    bad = np.zeros(count, dtype=bool)
-    for column in cells.T:
-        digit = column - ord("0")  # characters below "0" wrap past 1
-        bad |= digit > 1
-        keys <<= 1
-        keys |= digit
-    malformed = np.flatnonzero(bad)
-    return keys, int(malformed[0]) if malformed.size else count
+    digits = np.frombuffer(chars, dtype=np.uint8).reshape(count, width) - ord("0")
+    keys = digits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+    malformed = np.flatnonzero(digits > 1)  # characters below "0" wrap past 1
+    return keys, int(malformed[0]) // width if malformed.size else count
 
 
 def wht_inplace(a: np.ndarray) -> np.ndarray:
@@ -84,12 +79,10 @@ def wht_inplace(a: np.ndarray) -> np.ndarray:
     a = a.reshape(-1, n)
     h = 1
     while h < n:
-        a = a.reshape(a.shape[0], -1, 2, h)
-        lo = a[:, :, 0, :].copy()
-        hi = a[:, :, 1, :]
-        a[:, :, 0, :] = lo + hi
-        a[:, :, 1, :] = lo - hi
-        a = a.reshape(a.shape[0], n)
+        lo, hi = a.reshape(-1, 2, h).swapaxes(0, 1)
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
         h *= 2
     return a.reshape(shape)
 

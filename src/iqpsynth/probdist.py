@@ -189,6 +189,14 @@ def serialize_dist(p: ProbVector) -> str:
     return f'{{"n": {p.n}, "probs": {{{items}}}}}'
 
 
+def _floats(values: list, field: str) -> NDArray[np.float64]:
+    """JSON numbers as float64; an integer past the float range is a FormatError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise FormatError(f'"{field}" holds an integer too large for a float') from None
+
+
 def parse_dist(text: str) -> ProbVector:
     """Parse either JSON form of the distribution file format and validate it."""
     try:
@@ -214,7 +222,7 @@ def parse_dist(text: str) -> ProbVector:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in dense
         ):
             raise FormatError('"dense" must be a list of numbers')
-        return validate(np.asarray(dense, dtype=np.float64), n)
+        return validate(_floats(dense, "dense"), n)
     probs = obj["probs"]
     if not isinstance(probs, dict):
         raise FormatError('"probs" must be an object keyed by bitstrings')
@@ -227,5 +235,5 @@ def parse_dist(text: str) -> ProbVector:
     if bad_key < len(keys):
         raise FormatError(f"key {keys[bad_key]!r} is not a {n}-bit string")
     arr = np.zeros(1 << n, dtype=np.float64)
-    arr[index] = values
+    arr[index] = _floats(values, "probs")
     return validate(arr, n)

@@ -73,16 +73,14 @@ def apply_hadamard_layer(state: StateVector, targets: Iterable[int]) -> StateVec
         raise BadTarget("duplicate target qubit")
     if any(t < 0 or t >= q for t in targets):
         raise BadTarget(f"target outside [0, {q})")
-    amps = state.amps.copy().reshape((2,) * q)
-    scale = 1.0 / math.sqrt(2.0)
+    amps = state.amps.copy()
     for t in targets:
-        lo_ix = tuple(0 if i == t else slice(None) for i in range(q))
-        hi_ix = tuple(1 if i == t else slice(None) for i in range(q))
-        lo = amps[lo_ix].copy()
-        hi = amps[hi_ix]
-        amps[lo_ix] = (lo + hi) * scale
-        amps[hi_ix] = (lo - hi) * scale
-    return StateVector(q, amps.reshape(-1))
+        lo, hi = amps.reshape(1 << t, 2, -1).swapaxes(0, 1)  # qubit t: bit q-1-t of the index
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    amps *= 2.0 ** (-0.5 * len(targets))
+    return StateVector(q, amps)
 
 
 def marginal_full(pt: PhaseTable) -> ProbVector:

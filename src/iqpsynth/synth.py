@@ -336,15 +336,13 @@ def _phase_blocks(theta: NDArray[np.float64], total: int) -> Iterator[str]:
     viewed as a string; each distinct phase of a block is formatted once.
     """
     width = len(_PHASE_CODES) + (total + 1 if total else 0)
+    shifts = np.arange(total, dtype=np.uint32)[::-1]
     for start in range(0, theta.size, _CHUNK_ROWS):
         stop = min(theta.size, start + _CHUNK_ROWS)
-        x = np.arange(start, stop)
-        cells = np.empty((x.size, width), dtype=np.uint32)
+        x = np.arange(start, stop, dtype=np.uint32)
+        cells = np.full((x.size, width), ord(" "), dtype=np.uint32)
         cells[:, : len(_PHASE_CODES)] = _PHASE_CODES
-        for column in range(total):
-            cells[:, len(_PHASE_CODES) + column] = ord("0") + ((x >> (total - 1 - column)) & 1)
-        if total:
-            cells[:, -1] = ord(" ")
+        cells[:, len(_PHASE_CODES) : width - 1] = ord("0") + ((x[:, None] >> shifts) & 1)
         distinct, inverse = np.unique(theta[start:stop], return_inverse=True)
         values = [format_float(v) + "\n" for v in distinct.tolist()]
         pieces: list[str] = [""] * (2 * x.size)
@@ -364,14 +362,14 @@ def _chunks(text: str) -> Iterator[str]:
         start = stop
 
 
-# A block of nothing but three-token PHASE lines tokenizes with one split().
-_PLAIN_PHASE_LINES = re.compile(r"(?:[ \t]*PHASE[ \t]+\S+[ \t]+\S+[ \t]*\r?\n)*")
+# Line breaks that str.splitlines honours besides "\n".
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _QUBIT = re.compile(r"q\d+")
 _QUBIT_LIST = re.compile(r"q\d+(?:,q\d+)*")
 _MODE_NOTE = re.compile(r"^mode:\s*(\S+)$")
 
 
-def _angle_values(tokens: list[str]) -> tuple[NDArray[np.float64], tuple[int, str] | None]:
+def _angle_values(tokens: Sequence[str]) -> tuple[NDArray[np.float64], tuple[int, str] | None]:
     """Angles of the tokens by float(), plus the first token that is not one.
 
     float() runs once per distinct token.  The error is (index, message).
@@ -384,15 +382,12 @@ def _angle_values(tokens: list[str]) -> tuple[NDArray[np.float64], tuple[int, st
         except ValueError:
             unparsed.add(token)
     values = np.fromiter(map(lookup.__getitem__, tokens), np.float64, len(tokens))
-    limit = len(tokens)
-    if unparsed:
-        limit = next(i for i, token in enumerate(tokens) if token in unparsed)
-    nonfinite = np.flatnonzero(~np.isfinite(values[:limit]))
-    if nonfinite.size:
-        return values, (int(nonfinite[0]), "angle must be finite")
-    if limit < len(tokens):
-        return values, (limit, f"bad angle {tokens[limit]!r}")
-    return values, None
+    nonfinite = np.flatnonzero(~np.isfinite(values))  # unparsed tokens read as nan
+    if not nonfinite.size:
+        return values, None
+    i = int(nonfinite[0])
+    message = f"bad angle {tokens[i]!r}" if tokens[i] in unparsed else "angle must be finite"
+    return values, (i, message)
 
 
 def _first_duplicate(keys: NDArray[np.int64], seen: NDArray[np.bool_]) -> int | None:
@@ -426,26 +421,15 @@ class _CircuitReader:
 
     def read(self, block: str, first: int) -> int:
         """Parse a block whose first line is line `first`; return its line count."""
-        if (
-            self.saw_header
-            and self.total
-            and "#" not in block
-            and _PLAIN_PHASE_LINES.fullmatch(block)
-        ):
-            tokens = block.split()
-            count = len(tokens) // 3
-            error = self._phases(range(first, first + count), tokens[1::3], tokens[2::3])
-            if error is not None:
-                raise FormatError("line {}: {}".format(*error))
-            return count
+        lead = block[: block.find(" ") + 1]
+        if self.saw_header and self.total and lead in ("PHASE ", "XROT ") and "#" not in block:
+            count = self._plain(block, lead, first)
+            if count is not None:
+                return count
 
         lines = block.splitlines()
-        phase_at: list[int] = []
-        bits: list[str] = []
-        phase_angles: list[str] = []
-        xrot_at: list[int] = []
-        xrot_angles: list[str] = []
-        qubits: list[str] = []
+        phases: list[tuple[int, str, str]] = []  # line number and two fields
+        xrots: list[tuple[int, str, str]] = []
         stop: FormatError | None = None
         for lineno, raw in enumerate(lines, start=first):
             line, hashmark, comment = raw.partition("#")
@@ -463,32 +447,48 @@ class _CircuitReader:
                         # zero-qubit circuits have one basis state and no bitstring
                         wanted = "a bitstring and angle" if self.total else "an angle"
                         raise FormatError(f"line {lineno}: PHASE takes {wanted}")
-                    phase_at.append(lineno)
-                    bits.append(tokens[1] if self.total else "")
-                    phase_angles.append(tokens[-1])
+                    phases.append((lineno, tokens[1] if self.total else "", tokens[-1]))
                 elif keyword == "XROT" and self.saw_header:
                     if len(tokens) < 3:
                         raise FormatError(f"line {lineno}: XROT takes an angle and qubits")
-                    xrot_at.append(lineno)
-                    xrot_angles.append(tokens[1])
-                    qubits.append("".join(tokens[2:]))
+                    xrots.append((lineno, tokens[1], "".join(tokens[2:])))
                 else:
                     self._line(tokens, lineno)
             except FormatError as exc:
                 stop = exc
                 break
         # every line gathered precedes `stop`, so their errors come first
-        errors = []
-        if phase_at:
-            errors.append(self._phases(phase_at, bits, phase_angles))
-        if xrot_at:
-            errors.append(self._xrots(xrot_at, xrot_angles, qubits))
-        found = [error for error in errors if error is not None]
-        if found:
-            raise FormatError("line {}: {}".format(*min(found)))
+        stores = (self._phases, phases), (self._xrots, xrots)
+        found = [store(*zip(*rows)) for store, rows in stores if rows]
+        if any(found):
+            raise FormatError("line {}: {}".format(*min(filter(None, found))))
         if stop is not None:
             raise stop
         return len(lines)
+
+    def _plain(self, block: str, lead: str, first: int) -> int | None:
+        """Store a block whose lines all read (keyword, token, token), and
+        return their count; else store nothing and return None.
+
+        Each check is one scan: splitlines would give `lines` lines, each
+        starting with `lead` (read() saw the first), and split() gives
+        3 * lines tokens.  The stores reject a keyword as bitstring, qubit
+        list or angle, so once they succeed each line starts at a token
+        index divisible by 3 and, with 3 * lines tokens in all, holds three.
+        """
+        tokens = block.split()
+        lines = len(tokens) // 3
+        if (
+            len(tokens) != 3 * lines
+            or block.count("\n") != lines
+            or not block.endswith("\n")
+            or any(c in block for c in _OTHER_BREAKS)
+            or block.count("\n" + lead) != lines - 1
+        ):
+            return None
+        store = self._phases if lead == "PHASE " else self._xrots
+        error = store(range(first, first + lines), tokens[1::3], tokens[2::3])
+        return lines if error is None else None
 
     def _line(self, tokens: list[str], lineno: int) -> None:
         """One HEADER or GLOBALPHASE line, or any line before the header."""
@@ -530,7 +530,7 @@ class _CircuitReader:
             raise FormatError(f"line {lineno}: unknown keyword {keyword!r}")
 
     def _phases(
-        self, at: Sequence[int], bits: list[str], angles: list[str]
+        self, at: Sequence[int], bits: Sequence[str], angles: Sequence[str]
     ) -> tuple[int, str] | None:
         """Store a block's PHASE lines, or return (line, message) of the first bad one.
 
@@ -558,7 +558,7 @@ class _CircuitReader:
         return None
 
     def _xrots(
-        self, at: list[int], angles: list[str], qubits: list[str]
+        self, at: Sequence[int], angles: Sequence[str], qubits: Sequence[str]
     ) -> tuple[int, str] | None:
         """Store a block's XROT lines, or return (line, message) of the first bad one.
 

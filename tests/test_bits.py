@@ -75,6 +75,35 @@ def test_wht_involution(n, seed):
     assert np.allclose(twice, values * (1 << n), atol=1e-9)
 
 
+def copying_wht(a):
+    """Reference transform whose butterflies copy the low half and write
+    both halves from the copy; the in-place form must match it bit for bit."""
+    k, n = a.shape
+    h = 1
+    while h < n:
+        a = a.reshape(k, -1, 2, h)
+        lo = a[:, :, 0, :].copy()
+        hi = a[:, :, 1, :]
+        a[:, :, 0, :] = lo + hi
+        a[:, :, 1, :] = lo - hi
+        a = a.reshape(k, n)
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_wht_equals_copying_butterflies_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    for j in range(11):
+        for k in (1, 3, 8):
+            values = rng.standard_normal((k, 1 << j))
+            if dtype is np.complex128:
+                values = values + 1j * rng.standard_normal((k, 1 << j))
+            got = wht_inplace(values.copy())
+            assert got.shape == values.shape and got.dtype == dtype
+            assert got.tobytes() == copying_wht(values.copy()).tobytes()
+
+
 def test_wht_rejects_bad_length():
     with pytest.raises(ValueError):
         wht_inplace(np.zeros(3))

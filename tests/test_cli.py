@@ -204,6 +204,22 @@ def test_exit_codes(dist_file, tmp_path, capsys):
     assert run(capsys, "verify", circuit, str(mono))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "form, field",
+    [('"probs": {{"0": {}, "1": 0.5}}', "probs"), ('"dense": [{}, 0.5]', "dense")],
+    ids=["probs", "dense"],
+)
+def test_integer_past_float_range_exits_2(form, field, tmp_path, capsys):
+    # JSON integers are unbounded; one past the float range must not escape
+    # as an OverflowError traceback
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, ' + form.format("1" + "0" * 400) + "}")
+    for command in ("synth", "decompose"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f'error: "{field}" holds an integer too large for a float\n'
+
+
 def test_exit_code_qubit_cap(dist_file, tmp_path, capsys, monkeypatch):
     circuit = str(tmp_path / "c.txt")
     run(capsys, "synth", dist_file, "-o", circuit)

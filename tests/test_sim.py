@@ -87,6 +87,22 @@ def test_hadamard_layer_is_an_involution(q, seed):
     assert np.abs(twice.amps - raw).max() <= 1e-12
 
 
+def test_hadamard_layer_matches_kron_on_any_targets():
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    rng = np.random.default_rng(11)
+    for q in range(5):
+        for chosen in range(1 << q):
+            targets = [t for t in range(q) if chosen >> t & 1]
+            matrix = np.array([[1.0]])
+            for t in range(q):  # qubit 0 is the first kron factor
+                matrix = np.kron(matrix, h if t in targets else np.eye(2))
+            raw = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
+            raw /= np.linalg.norm(raw)
+            for order in (targets, targets[::-1]):
+                got = apply_hadamard_layer(StateVector(q, raw), order)
+                assert np.abs(got.amps - matrix @ raw).max() <= 1e-15
+
+
 def test_hadamard_layer_target_validation():
     state = StateVector(1, np.array([1.0, 0.0]))
     with pytest.raises(BadTarget):

@@ -413,10 +413,13 @@ def test_zero_qubit_circuit_round_trip():
     assert circ.table.theta.tolist() == [1.25]
 
 
-def big_circuit_lines():
+def big_circuit_lines(keyword="PHASE"):
     rng = np.random.default_rng(3)
     pt = PhaseTable(8, 6, rng.uniform(0.0, 2.0 * np.pi, 1 << 14))
-    text = serialize_circuit(8, 6, table=pt, mode="exact")
+    if keyword == "PHASE":
+        text = serialize_circuit(8, 6, table=pt, mode="exact")
+    else:
+        text = serialize_circuit(8, 6, gates=walsh_lower(pt), mode="exact")
     assert len(text) > 3 * synth._CHUNK_CHARS
     return text.splitlines(keepends=True)
 
@@ -453,6 +456,90 @@ def test_block_parser_errors_across_chunks():
     broken[deep] = f"{head}\n{angle}"
     message = f"line {deep + 1}: PHASE takes a bitstring and angle"
     assert parse_error(broken) == message
+
+
+def parsed(text):
+    """A parse's phases or gates as bytes, to compare bit for bit, or its error."""
+    try:
+        circ = parse_circuit(text)
+    except FormatError as exc:
+        return str(exc)
+    if circ.table is not None:
+        return circ.table.theta.tobytes()
+    return circ.gates.masks.tobytes() + circ.gates.angles.tobytes()
+
+
+def parsed_by_lines(text):
+    """parsed(text) with every block read line by line."""
+    with mock.patch.object(synth._CircuitReader, "_plain", return_value=None):
+        return parsed(text)
+
+
+@pytest.mark.parametrize("keyword", ["PHASE", "XROT"])
+def test_plain_blocks_read_as_lines_do(keyword):
+    lines = big_circuit_lines(keyword)
+    text = "".join(lines)
+    stored = []
+    plain = synth._CircuitReader._plain
+
+    def spy(reader, *args):
+        stored.append(plain(reader, *args))
+        return stored[-1]
+
+    with mock.patch.object(synth._CircuitReader, "_plain", spy):
+        canonical = parsed(text)
+    # every block but the first, which holds the header, is plain
+    assert len(stored) >= 3 and None not in stored
+    assert canonical == parsed_by_lines(text)
+
+    deep = 3 * len(lines) // 4
+    word, first, second = lines[deep].split()
+    _, first_next, second_next = lines[deep + 1].split()
+
+    def edit(*new):
+        return "".join([*lines[:deep], *new, *lines[deep + len(new) :]])
+
+    same = [
+        edit(f"{word}\t{first}\t{second}\n"),
+        edit(f"{word}  {first}  {second}\n"),
+        edit(f"{word} {first} {second}  \n"),
+        edit(" " + lines[deep]),
+        "".join(lines[:deep] + [line.replace("\n", "\r\n") for line in lines[deep:]]),
+        "".join([*lines[:deep], "\n", " \t\n", *lines[deep:]]),
+    ]
+    for variant in same:
+        assert parsed(variant) == canonical
+    if keyword == "PHASE":
+        takes = "PHASE takes a bitstring and angle"
+        in_slot = f"PHASE PHASE {second}\n", "bitstring 'PHASE' is not 14 bits"
+        four_tokens = last_four = takes
+        duplicate = f"duplicate PHASE for {lines[10].split()[1]!r}"
+    else:
+        takes = "XROT takes an angle and qubits"
+        in_slot = f"XROT {first} XROT\n", "bad qubit token 'XROT'"
+        # a qubit list may hold spaces, which makes more than three tokens
+        assert parsed(edit(f"XROT {first} {second.replace(',', ', ')}\n")) == canonical
+        four_tokens = f"bad qubit token '{second.split(',')[-1]}XROT'"
+        last_four = f"bad qubit token '{lines[-1].split(',')[-1].strip()}x'"
+        duplicate = "duplicate XROT support"
+    # each line break that splitlines honours besides "\n", inside a line
+    breaks = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    last = lines[-1].split()
+    errors = [
+        *[(edit(f"{word} {first}{mark}{second}\n"), deep + 1, takes) for mark in breaks],
+        # the last line broken in two, with no newline at the end of the file
+        ("".join(lines[:-1]) + f"{last[0]} {last[1]}\n{last[2]}", len(lines), takes),
+        # a fourth token on the last line of a block
+        ("".join(lines[:-1]) + f"{' '.join(last)} x\n", len(lines), last_four),
+        (edit(in_slot[0]), deep + 1, in_slot[1]),
+        (edit(f"{word} {first}\n", f"{word} {word} {first_next} {second_next}\n"),
+         deep + 1, takes),
+        (edit(f"{word} {first} {second} {word}\n", f"{first_next} {second_next}\n"),
+         deep + 1, four_tokens),
+        ("".join([*lines[:deep], "\n", lines[10], *lines[deep + 1 :]]), deep + 2, duplicate),
+    ]
+    for variant, line, message in errors:
+        assert parsed(variant) == parsed_by_lines(variant) == f"line {line}: {message}"
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
