@@ -24,7 +24,7 @@ def worst_case(n, m, trials, rng):
     for _ in range(trials):
         raw = rng.random(1 << n) + 1e-9
         p = validate(raw / raw.sum(), n)
-        worst = max(worst, tv_distance(p, round_to_dyadic(p, m).q))
+        worst = max(worst, tv_distance(p, round_to_dyadic(p, m)))
     return worst
 
 

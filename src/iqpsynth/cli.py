@@ -109,8 +109,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if args.m is None:
             raise FormatError("approx mode needs --m")
         enforce_cap(args.m + p.n, DENSE_MAX_QUBITS, "phase table")
-        rounding = round_to_dyadic(p, args.m)
-        table = approx_phase_table(build_multiplicity_map(rounding, p.n), p.n)
+        q = round_to_dyadic(p, args.m)
+        table = approx_phase_table(build_multiplicity_map(q, args.m), p.n)
         bound = 0.5 * 2.0 ** (p.n - args.m)
         if bound >= 1.0:
             sys.stderr.write(
@@ -131,6 +131,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
+    if args.tolerance is not None and not args.tolerance >= 0:
+        raise FormatError("--tolerance must be a nonnegative number")
     t0 = time.perf_counter()
     circ = _read_circuit(args.circuit)
     target = _read_dist(args.dist)
@@ -185,6 +187,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise FormatError("--samples must be nonnegative")
+    if args.seed < 0:
+        raise FormatError("--seed must be nonnegative")
     circ = _read_circuit(args.circuit)
     marginal = marginal_mixture(_table_of(circ))
     lines = [

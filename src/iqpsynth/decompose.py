@@ -7,9 +7,9 @@ an allocation matrix, each row at most 3-sparse with total mass 1/N
 (allocate_3sparse), then each 3-sparse row splits into two 2-sparse halves
 (split_3_to_2), giving 2N rows overall (decompose_2sparse).
 
-The dyadic path rounds p to a grid of multiples of 2**-m (round_to_dyadic)
-and expands the result into a multiplicity map: a vector v of 2**m outcome
-labels in which outcome j appears round(q_j * 2**m) times
+The dyadic path rounds p to a distribution q on the grid of multiples of
+2**-m (round_to_dyadic) and expands q into a multiplicity map: an array v
+of 2**m outcome labels in which outcome j appears q_j * 2**m times
 (build_multiplicity_map).
 """
 
@@ -249,42 +249,7 @@ def decompose_2sparse(p: ProbVector) -> Mixture:
     return split_3_to_2(rows_to_dists(allocate_3sparse(p)))
 
 
-@dataclass(frozen=True)
-class DyadicRounding:
-    """Result of rounding p to the grid of multiples of 2**-m.
-
-    Attributes
-    ----------
-    m : int
-        Grid resolution; masses become counts out of 2**m.
-    counts : ndarray
-        Integer floor counts per outcome, before surplus distribution.
-    fractions : ndarray
-        Mass truncated from each outcome (already divided by 2**m).
-    surplus : int
-        Grid units left over after flooring, handed to the largest
-        fractions.
-    q : ProbVector
-        The rounded distribution; every entry is an exact multiple
-        of 2**-m.
-    """
-
-    m: int
-    counts: NDArray[np.int64]
-    fractions: NDArray[np.float64]
-    surplus: int
-    q: ProbVector
-
-    def __post_init__(self) -> None:
-        scale = float(1 << self.m)
-        if int(self.counts.sum()) + self.surplus != 1 << self.m:
-            raise InconsistentCounts("counts plus surplus must equal 2**m")
-        grid = np.rint(self.q.probs * scale)
-        if not np.array_equal(grid / scale, self.q.probs):
-            raise InconsistentCounts("q entries must be exact multiples of 2**-m")
-
-
-def round_to_dyadic(p: ProbVector, m: int) -> DyadicRounding:
+def round_to_dyadic(p: ProbVector, m: int) -> ProbVector:
     """Round p onto the grid of multiples of 2**-m.
 
     Floors each mass to the grid, then promotes the outcomes with the
@@ -308,40 +273,24 @@ def round_to_dyadic(p: ProbVector, m: int) -> DyadicRounding:
     if surplus < 0 or surplus > 1 << n:
         raise InconsistentCounts(f"surplus {surplus} outside [0, 2**n]")
     order = np.lexsort((np.arange(1 << n), -frac))
-    final = counts.copy()
-    final[order[:surplus]] += 1
-    q = ProbVector(n, final / scale)
-    return DyadicRounding(m, counts, frac / scale, surplus, q)
+    counts[order[:surplus]] += 1
+    return ProbVector(n, counts / scale)
 
 
-@dataclass(frozen=True)
-class MultiplicityMap:
-    """Vector of 2**m outcome labels realizing a dyadic distribution.
+def build_multiplicity_map(q: ProbVector, m: int) -> NDArray[np.int64]:
+    """Expand q, dyadic at resolution m, into its 2**m outcome labels.
 
-    Outcome j appears v[k] == j for exactly q_j * 2**m values of k, in
-    ascending order of j.
+    Outcome j appears q_j * 2**m times, in ascending order of j; the
+    returned int64 array is read-only.
     """
-
-    m: int
-    v: NDArray[np.int64]
-
-    def __post_init__(self) -> None:
-        v = np.array(self.v, dtype=np.int64, copy=True)
-        if v.shape != (1 << self.m,):
-            raise LengthMismatch(f"expected 2**{self.m} labels, got shape {v.shape}")
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
-
-
-def build_multiplicity_map(rounding: DyadicRounding, n: int) -> MultiplicityMap:
-    """Expand a dyadic distribution over n bits into its multiplicity map."""
-    if rounding.q.n != n:
-        raise DimensionMismatch(f"rounding is over n={rounding.q.n}, asked for n={n}")
-    scale = float(1 << rounding.m)
-    counts = np.rint(rounding.q.probs * scale).astype(np.int64)
-    if not np.array_equal(counts / scale, rounding.q.probs):
+    if m < 0:
+        raise LengthMismatch(f"grid resolution must be nonnegative, got m={m}")
+    scale = float(1 << m)
+    counts = np.rint(q.probs * scale).astype(np.int64)
+    if not np.array_equal(counts / scale, q.probs):
         raise InconsistentCounts("q is not exactly dyadic at resolution m")
-    if int(counts.sum()) != 1 << rounding.m:
+    if int(counts.sum()) != 1 << m:
         raise InconsistentCounts("dyadic counts do not fill 2**m slots")
-    v = np.repeat(np.arange(1 << n, dtype=np.int64), counts)
-    return MultiplicityMap(rounding.m, v)
+    v = np.repeat(np.arange(len(q), dtype=np.int64), counts)
+    v.flags.writeable = False
+    return v

@@ -56,7 +56,7 @@ from ._bits import (
     parity,
     wht_inplace,
 )
-from .decompose import MultiplicityMap, decompose_2sparse
+from .decompose import decompose_2sparse
 from .errors import (
     DimensionMismatch,
     FormatError,
@@ -102,36 +102,6 @@ class PhaseTable:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
-    def row(self, j: int) -> NDArray[np.float64]:
-        """Visible-register phases for hidden value j."""
-        if not 0 <= j < 1 << self.m:
-            raise OutcomeOutOfRange(f"hidden value {j} outside [0, {1 << self.m})")
-        return self.theta[j << self.n : (j + 1) << self.n]
-
-
-@dataclass(frozen=True)
-class PhaseRow:
-    """One visible-register phase row encoding at most two outcomes.
-
-    Measuring the row state through a Hadamard layer yields b1 with
-    probability mass and b2 with the rest.
-    """
-
-    n: int
-    theta: NDArray[np.float64]
-    b1: int
-    b2: int
-    mass: float
-    theta_star: float
-
-    def __post_init__(self) -> None:
-        theta = np.array(self.theta, dtype=np.float64, copy=True)
-        if theta.shape != (1 << self.n,):
-            raise LengthMismatch(f"expected {1 << self.n} phases for n={self.n}")
-        theta = canonical_phase(theta)
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-
 
 def _parity_rows(b1, b2, theta_star, n: int) -> NDArray[np.float64]:
     """The row formula for each (b1, b2, theta_star) triple, uncanonicalized."""
@@ -146,8 +116,19 @@ def _theta_star(mass: float) -> float:
     return 2.0 * math.acos(math.sqrt(mass))
 
 
-def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseRow:
-    """Phase row whose measured outcome is b1 with given mass, else b2.
+def _pair_rows(b1, b2, mass, n: int) -> NDArray[np.float64]:
+    """Rows yielding b1 with each mass and b2 with the rest, uncanonicalized.
+
+    Masses are clamped to [0, 1]; where b1 == b2 the row is a plain parity
+    pattern and carries the whole unit, whatever mass was asked.
+    """
+    b1, b2 = np.asarray(b1), np.asarray(b2)
+    mass = np.where(b1 == b2, 1.0, np.clip(mass, 0.0, 1.0))
+    return _parity_rows(b1, b2, [_theta_star(x) for x in mass.tolist()], n)
+
+
+def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
+    """One-row table (m = 0) whose measured outcome is b1 with given mass, else b2.
 
     The row keeps every amplitude at modulus 2**(-n/2); only phases vary,
     following the row formula of the module docstring.  Through a Hadamard
@@ -164,10 +145,7 @@ def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseRow:
         raise OutcomeOutOfRange(f"b2={b2} outside [0, {size})")
     if not math.isfinite(mass) or mass < -MASS_TOL or mass > 1.0 + MASS_TOL:
         raise MassOutOfRange(f"mass {mass!r} outside [0, 1]")
-    mass = 1.0 if b1 == b2 else min(max(mass, 0.0), 1.0)
-    theta_star = _theta_star(mass)
-    row = _parity_rows([b1], [b2], [theta_star], n)[0]
-    return PhaseRow(n, row, b1, b2, mass, theta_star)
+    return PhaseTable(0, n, _pair_rows([b1], [b2], [mass], n))
 
 
 def exact_phase_table(p: ProbVector) -> PhaseTable:
@@ -179,24 +157,23 @@ def exact_phase_table(p: ProbVector) -> PhaseTable:
     """
     parts = decompose_2sparse(p)
     b1, b2 = parts.cols.T  # b2 is -1 where a component has one outcome
-    theta_star = [
-        _theta_star(min(mass, 1.0)) if b >= 0 else 0.0
-        for mass, b in zip(parts.masses[:, 0].tolist(), b2.tolist())
-    ]
     b2 = np.where(b2 >= 0, b2, b1)
-    return PhaseTable(p.n + 1, p.n, _parity_rows(b1, b2, theta_star, p.n))
+    return PhaseTable(p.n + 1, p.n, _pair_rows(b1, b2, parts.masses[:, 0], p.n))
 
 
-def approx_phase_table(vmap: MultiplicityMap, n: int) -> PhaseTable:
-    """Phase table realizing a dyadic distribution from its multiplicity map.
+def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
+    """Phase table realizing a dyadic distribution from its 2**m labels v.
 
     Hidden row j is the parity pattern pi * parity(v[j] & y), a point mass
     on outcome v[j]; mixing rows uniformly weights each outcome by its
     multiplicity.  All phases are 0 or pi.
     """
-    if not 0 <= int(vmap.v.min()) <= int(vmap.v.max()) < 1 << n:
+    size = len(v)
+    if not size or size & (size - 1):
+        raise LengthMismatch(f"expected 2**m multiplicity labels, got {size}")
+    if not 0 <= int(v.min()) <= int(v.max()) < 1 << n:
         raise OutcomeOutOfRange(f"multiplicity labels must lie in [0, 2**{n})")
-    return PhaseTable(vmap.m, n, _parity_rows(vmap.v, vmap.v, np.zeros(vmap.v.size), n))
+    return PhaseTable(size.bit_length() - 1, n, _parity_rows(v, v, np.zeros(size), n))
 
 
 @dataclass(frozen=True, eq=False)

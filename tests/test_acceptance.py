@@ -102,11 +102,11 @@ def test_criterion_2_dyadic_bound_and_realization():
             bound = 0.5 * 2.0 ** (n - m)
             for _ in range(100):
                 p = validate(random_dist(rng, n), n)
-                d = round_to_dyadic(p, m)
-                gap = tv_distance(p, d.q)
+                q = round_to_dyadic(p, m)
+                gap = tv_distance(p, q)
                 assert gap <= bound
-                pt = approx_phase_table(build_multiplicity_map(d, n), n)
-                realized = tv_distance(marginal_mixture(pt), d.q)
+                pt = approx_phase_table(build_multiplicity_map(q, m), n)
+                realized = tv_distance(marginal_mixture(pt), q)
                 assert realized <= 1e-12
                 worst_slack = min(worst_slack, bound - gap)
                 worst_realize = max(worst_realize, realized)
@@ -201,7 +201,7 @@ def test_criterion_5_two_outcome_rows():
         assert is_uma(StateVector(n, np.exp(1j * row.theta) * 2.0 ** (-0.5 * n)))
         probs = _measure_row(row)
         off = sum(p for b, p in enumerate(probs) if b not in (b1, b2))
-        mass_err = abs(probs[b1] - row.mass)
+        mass_err = abs(probs[b1] - (1.0 if b1 == b2 else mass))
         assert off <= 1e-12 and mass_err <= 1e-12
         worst_off = max(worst_off, off)
         worst_mass = max(worst_mass, mass_err)
@@ -316,15 +316,15 @@ def test_criterion_8_degenerate_inputs():
             q.verify_against(p, tol=1e-12)
             parts = decompose_2sparse(p)
             assert parts.sparsity.max() <= 2
-            d = round_to_dyadic(p, n + 2)
-            assert d.surplus == 0  # these inputs sit on the grid already
-            assert np.array_equal(d.q.probs, p.probs)
+            # these inputs sit on the grid already
+            assert np.array_equal(round_to_dyadic(p, n + 2).probs, p.probs)
             assert tv_distance(marginal_mixture(exact_phase_table(p)), p) <= 1e-9
             checks += 1
 
-        # rounding with nothing to hand out vs a forced surplus
+        # rounding with nothing to hand out vs a forced surplus: the floors
+        # (2, 5) of (2.4, 5.6) leave one unit for the larger fraction
         p = validate([0.3, 0.7], 1)
-        assert round_to_dyadic(p, 3).surplus > 0
+        assert round_to_dyadic(p, 3).probs.tolist() == [0.25, 0.75]
         checks += 1
 
         # single-outcome rows claim the whole mass whatever was asked

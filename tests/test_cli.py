@@ -84,6 +84,20 @@ def test_verify_tolerance_flag(dist_file, tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_rejects_bad_tolerance(dist_file, tmp_path, capsys):
+    circuit = str(tmp_path / "c.txt")
+    run(capsys, "synth", dist_file, "-o", circuit)
+    for bad in ("nan", "-1", "-inf"):
+        code, out, err = run(capsys, "verify", circuit, dist_file, f"--tolerance={bad}")
+        assert code == 2 and out == ""
+        assert err == "error: --tolerance must be a nonnegative number\n"
+    for good in ("0", "inf"):
+        code, out, _ = run(capsys, "verify", circuit, dist_file, "--tolerance", good)
+        report = json.loads(out)
+        assert code == (0 if report["passed"] else 1)
+        assert report["passed"] == (report["tv_realized"] <= float(good))
+
+
 def test_verify_mode_flag_overrides_annotation(dist_file, tmp_path, capsys):
     circuit = str(tmp_path / "c.txt")
     run(capsys, "synth", dist_file, "-o", circuit, "--mode", "approx", "--m", "4")
@@ -157,6 +171,15 @@ def test_simulate_point_mass_sampling(tmp_path, capsys):
     assert code == 0
     samples = out.splitlines()[4:]
     assert samples == ["10"] * 5
+
+
+def test_simulate_rejects_negative_seed(dist_file, tmp_path, capsys):
+    circuit = str(tmp_path / "c.txt")
+    run(capsys, "synth", dist_file, "-o", circuit)
+    code, out, err = run(capsys, "simulate", circuit, "--samples", "3", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be nonnegative\n"
+    assert run(capsys, "simulate", circuit, "--samples", "3", "--seed", "0")[0] == 0
 
 
 def test_decompose_certificate(dist_file, tmp_path, capsys):

@@ -20,12 +20,11 @@ from iqpsynth.decompose import (
 )
 from iqpsynth.errors import (
     BadNormalization,
-    DimensionMismatch,
     InconsistentCounts,
     LengthMismatch,
     SparsityViolation,
 )
-from iqpsynth.probdist import sort_with_permutation, tv_distance, validate
+from iqpsynth.probdist import ProbVector, sort_with_permutation, tv_distance, validate
 
 from helpers import random_dist
 
@@ -218,47 +217,46 @@ def test_decompose_2sparse_reconstructs(n, seed):
 
 def test_dyadic_frozen_example():
     p = validate([0.3, 0.7], 1)
-    d = round_to_dyadic(p, 3)
-    assert d.counts.tolist() == [2, 5]
-    assert d.surplus == 1
-    assert d.q.probs.tolist() == [0.25, 0.75]
-    assert abs(tv_distance(p, d.q) - 0.05) < 1e-12
-    assert tv_distance(p, d.q) <= 0.5 * 2.0 ** (1 - 3)
+    q = round_to_dyadic(p, 3)
+    # floors (2, 5) of (2.4, 5.6) leave one unit for the larger fraction
+    assert (q.probs * 8).tolist() == [2, 6]
+    assert q.probs.tolist() == [0.25, 0.75]
+    assert abs(tv_distance(p, q) - 0.05) < 1e-12
+    assert tv_distance(p, q) <= 0.5 * 2.0 ** (1 - 3)
 
 
 def test_dyadic_coarsest_grid():
     p = validate([0.3, 0.7], 1)
-    d = round_to_dyadic(p, 1)
+    q = round_to_dyadic(p, 1)
     # floors (0, 1); the bigger truncation wins the one spare slot
-    assert d.q.probs.tolist() == [0.5, 0.5]
-    assert tv_distance(p, d.q) <= 0.5
+    assert q.probs.tolist() == [0.5, 0.5]
+    assert tv_distance(p, q) <= 0.5
 
 
 def test_dyadic_exact_grid_is_identity():
     p = validate([0.25, 0.75], 1)
-    d = round_to_dyadic(p, 4)
-    assert d.surplus == 0
-    assert np.array_equal(d.q.probs, p.probs)
+    assert np.array_equal(round_to_dyadic(p, 4).probs, p.probs)
 
 
 def test_dyadic_tie_prefers_lower_index():
     p = validate([0.375, 0.375, 0.25, 0.0], 2)
-    d = round_to_dyadic(p, 2)
+    q = round_to_dyadic(p, 2)
     # fractions tie at 0.5 for outcomes 0 and 1; index 0 gets the slot
-    assert d.q.probs.tolist() == [0.5, 0.25, 0.25, 0.0]
+    assert q.probs.tolist() == [0.5, 0.25, 0.25, 0.0]
 
 
 def test_dyadic_rejects_negative_m():
     with pytest.raises(LengthMismatch):
         round_to_dyadic(validate([0.5, 0.5], 1), -1)
+    with pytest.raises(LengthMismatch):
+        build_multiplicity_map(validate([0.0, 1.0], 1), -1)
 
 
 def test_dyadic_below_n_collapses_to_point_mass():
     # one grid unit total: the heavier outcome takes everything
-    d = round_to_dyadic(validate([0.3, 0.7], 1), 0)
-    assert d.surplus == 1
-    assert d.q.probs.tolist() == [0.0, 1.0]
-    assert tv_distance(validate([0.3, 0.7], 1), d.q) <= 1.0
+    q = round_to_dyadic(validate([0.3, 0.7], 1), 0)
+    assert q.probs.tolist() == [0.0, 1.0]
+    assert tv_distance(validate([0.3, 0.7], 1), q) <= 1.0
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -273,11 +271,11 @@ def test_dyadic_bound_and_grid(args):
     n, m, seed = args
     rng = np.random.default_rng(seed)
     p = validate(random_dist(rng, n), n)
-    d = round_to_dyadic(p, m)
+    q = round_to_dyadic(p, m)
     scale = 1 << m
-    on_grid = np.rint(d.q.probs * scale)
-    assert np.array_equal(on_grid / scale, d.q.probs)
-    assert tv_distance(p, d.q) <= 0.5 * 2.0 ** (n - m)
+    on_grid = np.rint(q.probs * scale)
+    assert np.array_equal(on_grid / scale, q.probs)
+    assert tv_distance(p, q) <= 0.5 * 2.0 ** (n - m)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -292,26 +290,24 @@ def test_multiplicity_map_counts(args):
     n, m, seed = args
     rng = np.random.default_rng(seed)
     p = validate(random_dist(rng, n), n)
-    d = round_to_dyadic(p, m)
-    vmap = build_multiplicity_map(d, n)
-    assert vmap.v.shape == (1 << m,)
-    assert np.all(np.diff(vmap.v) >= 0)
-    counts = np.bincount(vmap.v, minlength=1 << n)
-    assert np.array_equal(counts / (1 << m), d.q.probs)
+    q = round_to_dyadic(p, m)
+    v = build_multiplicity_map(q, m)
+    assert v.shape == (1 << m,) and v.dtype == np.int64
+    assert not v.flags.writeable
+    assert np.all(np.diff(v) >= 0)
+    counts = np.bincount(v, minlength=1 << n)
+    assert np.array_equal(counts / (1 << m), q.probs)
 
 
 def test_multiplicity_frozen_example():
-    d = round_to_dyadic(validate([0.25, 0.75], 1), 2)
-    assert build_multiplicity_map(d, 1).v.tolist() == [0, 1, 1, 1]
+    q = round_to_dyadic(validate([0.25, 0.75], 1), 2)
+    assert build_multiplicity_map(q, 2).tolist() == [0, 1, 1, 1]
 
 
-def test_multiplicity_dimension_check():
-    d = round_to_dyadic(validate([0.25, 0.75], 1), 2)
-    with pytest.raises(DimensionMismatch):
-        build_multiplicity_map(d, 2)
-
-
-def test_rounding_surplus_bookkeeping_is_checked():
-    d = round_to_dyadic(validate([0.3, 0.7], 1), 3)
+def test_multiplicity_map_rejects_q_off_the_grid():
+    with pytest.raises(InconsistentCounts):  # 0.3 * 8 is not a whole count
+        build_multiplicity_map(validate([0.3, 0.7], 1), 3)
+    # on the 2**-41 grid, but its counts overfill the 2**41 slots by 2
+    q = ProbVector(1, [0.5, 0.5 + 2.0**-40])
     with pytest.raises(InconsistentCounts):
-        type(d)(d.m, d.counts, d.fractions, d.surplus + 1, d.q)
+        build_multiplicity_map(q, 41)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpsynth import synth
-from iqpsynth._bits import parity
+from iqpsynth._bits import canonical_phase, parity
 from iqpsynth.decompose import (
     allocate_3sparse,
     build_multiplicity_map,
@@ -60,15 +60,18 @@ def measured(row):
 
 def test_uma_frozen_half_half():
     row = uma_phases_for_pair(0, 1, 0.5, 1)
+    assert row.m == 0 and row.n == 1
     assert np.allclose(row.theta, [0.0, np.pi / 2], atol=1e-15)
-    assert abs(row.theta_star - np.pi / 2) < 1e-15
+    assert abs(row.theta[1] - np.pi / 2) < 1e-15  # theta_star of the row
     probs = measured(row)
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_uma_degenerate_pair_takes_all_mass():
     row = uma_phases_for_pair(3, 3, 0.25, 2)
-    assert row.mass == 1.0 and row.theta_star == 0.0
+    # theta_star is 0: the row is the parity pattern of 3, as at mass 1
+    assert np.array_equal(row.theta, np.pi * parity(3 & np.arange(4)))
+    assert np.array_equal(row.theta, uma_phases_for_pair(3, 3, 1.0, 2).theta)
     probs = measured(row)
     assert abs(probs[3] - 1.0) <= 1e-12
 
@@ -90,7 +93,8 @@ def test_uma_validation():
     with pytest.raises(MassOutOfRange):
         uma_phases_for_pair(0, 1, float("nan"), 2)
     # dust beyond the boundary is clamped, not rejected
-    assert uma_phases_for_pair(0, 1, 1.0 + 1e-13, 2).mass == 1.0
+    clamped = uma_phases_for_pair(0, 1, 1.0 + 1e-13, 2)
+    assert np.array_equal(clamped.theta, uma_phases_for_pair(0, 1, 1.0, 2).theta)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -111,7 +115,7 @@ def test_uma_support_and_mass(args):
     probs = measured(row)
     off = [p for b, p in enumerate(probs) if b not in (b1, b2)]
     assert max(off, default=0.0) <= 1e-12
-    assert abs(probs[b1] - row.mass) <= 1e-12
+    assert abs(probs[b1] - (1.0 if b1 == b2 else mass)) <= 1e-12
 
 
 def test_exact_table_shape_and_marginal():
@@ -134,8 +138,8 @@ def test_exact_table_property(n, seed):
     p = validate(random_dist(rng, n), n)
     pt = exact_phase_table(p)
     # every hidden row should land on at most two visible outcomes
-    for j in range(1 << pt.m):
-        amps = np.exp(1j * pt.row(j)) * 2.0 ** (-0.5 * n)
+    for row in pt.theta.reshape(1 << pt.m, 1 << n):
+        amps = np.exp(1j * row) * 2.0 ** (-0.5 * n)
         out = apply_hadamard_layer(StateVector(n, amps), range(n))
         assert np.sum(np.abs(out.amps) ** 2 > 1e-12) <= 2
     assert tv_distance(marginal_mixture(pt), p) <= 1e-12
@@ -153,12 +157,12 @@ def test_approx_table_hits_dyadic_target(args):
     n, m, seed = args
     rng = np.random.default_rng(seed)
     p = validate(random_dist(rng, n), n)
-    d = round_to_dyadic(p, m)
-    pt = approx_phase_table(build_multiplicity_map(d, n), n)
+    q = round_to_dyadic(p, m)
+    pt = approx_phase_table(build_multiplicity_map(q, m), n)
     assert pt.m == m and pt.n == n
     # parity tables only ever use phases 0 and pi
     assert np.all((pt.theta == 0.0) | (pt.theta == np.pi))
-    assert tv_distance(marginal_mixture(pt), d.q) <= 1e-12
+    assert tv_distance(marginal_mixture(pt), q) <= 1e-12
     assert tv_distance(marginal_mixture(pt), p) <= 0.5 * 2.0 ** (n - m)
 
 
@@ -167,21 +171,30 @@ def test_approx_table_hits_dyadic_target(args):
 def test_tables_match_single_row_encoding_bit_for_bit(n, extra, seed):
     rng = np.random.default_rng(seed)
     p = validate(random_dist(rng, n), n)
-    pt = exact_phase_table(p)
+    rows = exact_phase_table(p).theta.reshape(1 << (n + 1), 1 << n)
     parts = decompose_2sparse(p)
+    y = np.arange(1 << n)
     for j, (cols, masses) in enumerate(zip(parts.cols.tolist(), parts.masses.tolist())):
         b1, mass = cols[0], masses[0]
         b2 = max(cols)
         row = uma_phases_for_pair(b1, b2, mass, n)
-        assert np.array_equal(pt.row(j), row.theta)
+        assert np.array_equal(rows[j], row.theta)
         if b1 != b2:
             # math.acos, not np.arccos: the two differ in the last bit
-            assert row.theta_star == 2.0 * math.acos(math.sqrt(min(mass, 1.0)))
-    y = np.arange(1 << n)
-    vmap = build_multiplicity_map(round_to_dyadic(p, n + extra), n)
-    approx = approx_phase_table(vmap, n)
-    for j, v in enumerate(vmap.v):
-        assert np.array_equal(approx.row(j), np.pi * parity(int(v) & y))
+            theta_star = 2.0 * math.acos(math.sqrt(min(mass, 1.0)))
+            formula = np.pi * parity(b1 & y) + theta_star * parity((b1 ^ b2) & y)
+            assert np.array_equal(row.theta, canonical_phase(formula))
+    m = n + extra
+    v = build_multiplicity_map(round_to_dyadic(p, m), m)
+    approx = approx_phase_table(v, n).theta.reshape(1 << m, 1 << n)
+    for j, label in enumerate(v.tolist()):
+        assert np.array_equal(approx[j], np.pi * parity(label & y))
+
+
+def test_approx_table_needs_power_of_two_labels():
+    with pytest.raises(LengthMismatch):
+        approx_phase_table(np.array([0, 1, 1]), 1)
+    assert approx_phase_table(np.array([0, 1, 1, 1]), 1).m == 2
 
 
 def test_phase_table_canonicalizes():
@@ -191,8 +204,6 @@ def test_phase_table_canonicalizes():
         PhaseTable(0, 1, [0.0, 0.0, 0.0])
     with pytest.raises(LengthMismatch):
         PhaseTable(0, 1, [np.inf, 0.0])
-    with pytest.raises(OutcomeOutOfRange):
-        pt.row(2)
 
 
 def test_phase_table_leaves_caller_array():
