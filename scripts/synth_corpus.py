@@ -15,7 +15,10 @@ gates_to_phases, marginal_mixture) the same way.  A third digests the
 digests the `iqpsynth verify` report, without its timings, and
 `iqpsynth simulate` output on every file that carries PHASE lines, which
 pins the phase-table read path (parse_circuit, marginal_mixture) and the
-dense cross-check that verify runs.
+dense cross-check that verify runs.  A fifth digests the `masks` and
+`angles` bytes that `parse_circuit` reads from every `--lower` and
+`--format gates` file, which pins the XROT read path on its own, also
+where an XROT block is followed by PHASE lines.
 
 Usage:
     PYTHONPATH=src python3 scripts/synth_corpus.py [--digests out.json]
@@ -34,6 +37,7 @@ import numpy as np
 
 from iqpsynth.cli import main
 from iqpsynth.probdist import serialize_dist, validate
+from iqpsynth.synth import parse_circuit
 
 TEXTURES = ("dense", "spiky", "gappy", "ties", "point")
 
@@ -83,12 +87,14 @@ def _printed(argv):
 
 def digest_corpus(workdir):
     """Per-output digests of synth files, of simulate on each gates file, of
-    decompose certificates with their --check line, and of verify plus
-    simulate on each phase-table file."""
+    decompose certificates with their --check line, of verify plus simulate
+    on each phase-table file, and of the gate arrays parsed from each file
+    with an XROT block."""
     digests = {}
     reads = {}
     certs = {}
     tables = {}
+    gates = {}
     for n in range(10):
         for tex in TEXTURES:
             for seed in range(3):
@@ -117,7 +123,12 @@ def digest_corpus(workdir):
                         raise SystemExit(f"synth {tag} on n={n} {tex} s{seed}: exit {code}")
                     key = f"n{n}_{tex}_s{seed}_{tag}"
                     with open(out, "rb") as handle:
-                        digests[key] = hashlib.sha256(handle.read()).hexdigest()
+                        blob = handle.read()
+                    digests[key] = hashlib.sha256(blob).hexdigest()
+                    if tag.endswith(("_gates", "_lower")):
+                        parsed = parse_circuit(blob.decode()).gates
+                        gates[key] = hashlib.sha256(
+                            parsed.masks.tobytes() + parsed.angles.tobytes()).hexdigest()
                     if tag.endswith("_gates"):
                         reads[key] = hashlib.sha256(
                             _printed(["simulate", out]).encode()).hexdigest()
@@ -126,7 +137,7 @@ def digest_corpus(workdir):
                         del report["timings_ms"]
                         blob = json.dumps(report) + _printed(["simulate", out])
                         tables[key] = hashlib.sha256(blob.encode()).hexdigest()
-    return digests, reads, certs, tables
+    return digests, reads, certs, tables, gates
 
 
 def main_cli():
@@ -134,16 +145,17 @@ def main_cli():
     parser.add_argument("--digests", help="also write per-output digests as JSON")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        digests, reads, certs, tables = digest_corpus(workdir)
+        digests, reads, certs, tables, gates = digest_corpus(workdir)
     if args.digests:
         with open(args.digests, "w") as handle:
             json.dump({"synth": digests, "simulate": reads, "decompose": certs,
-                       "verify": tables}, handle, indent=0, sort_keys=True)
+                       "verify": tables, "gates": gates}, handle, indent=0, sort_keys=True)
     for label, found in (
         ("outputs; corpus", digests),
         ("gate files simulated; read", reads),
         ("certificates; decompose", certs),
         ("phase-table files verified; verify", tables),
+        ("gate blocks parsed; gates", gates),
     ):
         total = hashlib.sha256(json.dumps(found, sort_keys=True).encode()).hexdigest()
         print(f"{len(found)} {label} digest {total}")

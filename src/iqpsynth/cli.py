@@ -2,7 +2,7 @@
 
 Exit codes are uniform across subcommands: 0 success (for verify, the
 check passed), 1 a completed verification that failed, 2 bad input or
-usage, 3 a qubit-count cap refused the computation, 4 an internal
+usage, 3 a size cap (qubits or samples) refused the computation, 4 an internal
 invariant failed, such as the two marginal routes disagreeing.  Reports and
 certificates are JSON with a fixed key order; timings are wall-clock
 milliseconds and the only nondeterministic fields anywhere.
@@ -28,7 +28,14 @@ from .decompose import (
     round_to_dyadic,
     rows_to_dists,
 )
-from .errors import DimensionMismatch, FormatError, InternalError, IqpError, TooManyQubits
+from .errors import (
+    DimensionMismatch,
+    FormatError,
+    InternalError,
+    IqpError,
+    TooManyQubits,
+    TooManySamples,
+)
 from .probdist import ProbVector, format_float, parse_dist, tv_distance
 from .sim import DEFAULT_SEED, marginal_full, marginal_mixture, sample
 from .synth import (
@@ -51,6 +58,9 @@ DEFAULT_EXACT_TOL = 1e-9
 # The full-state cross-check runs only when it is cheap.
 CROSSCHECK_MAX_QUBITS = 20
 
+# simulate --samples is refused past this count, before any draw is made.
+SAMPLES_MAX = 1 << 24
+
 
 def _write_text(path: str, text: str) -> None:
     """Write atomically: a torn run never leaves a partial file behind."""
@@ -72,14 +82,21 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(out, text)
 
 
+def _read_text(path: str) -> str:
+    """A file's text; a byte that is not UTF-8 is a FormatError naming its offset."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()  # decoded in one piece, so offsets are the file's
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: byte {exc.start} is not UTF-8") from None
+
+
 def _read_dist(path: str) -> ProbVector:
-    with open(path) as handle:
-        return parse_dist(handle.read())
+    return parse_dist(_read_text(path))
 
 
 def _read_circuit(path: str) -> ParsedCircuit:
-    with open(path) as handle:
-        return parse_circuit(handle.read())
+    return parse_circuit(_read_text(path))
 
 
 def _table_of(circ: ParsedCircuit) -> PhaseTable:
@@ -187,6 +204,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise FormatError("--samples must be nonnegative")
+    if args.samples > SAMPLES_MAX:
+        raise TooManySamples(f"--samples {args.samples} is over the cap of {SAMPLES_MAX}")
     if args.seed < 0:
         raise FormatError("--seed must be nonnegative")
     circ = _read_circuit(args.circuit)
@@ -286,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TooManyQubits as exc:
+    except (TooManyQubits, TooManySamples) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except InternalError as exc:

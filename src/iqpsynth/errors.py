@@ -41,6 +41,10 @@ class TooManyQubits(IqpError):
     """Requested operation exceeds the dense-simulation size cap."""
 
 
+class TooManySamples(IqpError):
+    """Requested sample count exceeds the sampling cap."""
+
+
 class BadTarget(IqpError):
     """A gate or layer addresses a qubit outside the register."""
 

@@ -298,8 +298,8 @@ def serialize_circuit(
 
 
 # Circuit text is written and read a bounded block at a time: PHASE lines
-# are written _CHUNK_ROWS to a block, and a block read runs to the first
-# newline at least _CHUNK_CHARS characters past its start.
+# are written _CHUNK_ROWS to a block, and a block read runs at most to the
+# first newline at least _CHUNK_CHARS characters past its start.
 _CHUNK_ROWS = 1 << 12
 _CHUNK_CHARS = 1 << 17
 
@@ -329,12 +329,20 @@ def _phase_blocks(theta: NDArray[np.float64], total: int) -> Iterator[str]:
 
 
 def _chunks(text: str) -> Iterator[str]:
-    """Consecutive slices of text, each ending at a newline, except the last."""
+    """Consecutive slices of text, each ending at a newline, except the last.
+
+    A slice also ends before the first line of a PHASE or XROT run, so a
+    file's head (comments, HEADER, GLOBALPHASE) is a slice of its own and
+    an XROT slice ends before the first PHASE line.  A slice that starts
+    with "PHASE " is cut by size alone, so PHASE text is never searched.
+    """
     start = 0
     while start < len(text):
-        stop = text.find("\n", start + _CHUNK_CHARS) + 1
-        if stop == 0:
-            stop = len(text)
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        if not text.startswith("PHASE ", start):
+            xrot = text.startswith("XROT ", start)
+            for run in ("\nPHASE ",) if xrot else ("\nPHASE ", "\nXROT "):
+                stop = text.find(run, start, stop) + 1 or stop
         yield text[start:stop]
         start = stop
 

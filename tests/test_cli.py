@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from iqpsynth import cli
+from iqpsynth import cli, synth
 from iqpsynth.cli import main
 from iqpsynth.probdist import ProbVector, parse_dist, serialize_dist, validate
 
@@ -180,6 +181,68 @@ def test_simulate_rejects_negative_seed(dist_file, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: --seed must be nonnegative\n"
     assert run(capsys, "simulate", circuit, "--samples", "3", "--seed", "0")[0] == 0
+
+
+def test_simulate_refuses_oversized_samples(dist_file, tmp_path, capsys, monkeypatch):
+    circuit = str(tmp_path / "c.txt")
+    run(capsys, "synth", dist_file, "-o", circuit)
+    drawn = []
+
+    def sample(p, count, seed):  # records the count and draws nothing
+        drawn.append(count)
+        return []
+
+    monkeypatch.setattr(cli, "sample", sample)
+    for count in (10**14, 10**23, cli.SAMPLES_MAX + 1):
+        code, out, err = run(capsys, "simulate", circuit, "--samples", str(count))
+        assert code == 3 and out == ""
+        assert err == f"error: --samples {count} is over the cap of {cli.SAMPLES_MAX}\n"
+    assert drawn == []
+    code, out, _ = run(capsys, "simulate", circuit, "--samples", str(cli.SAMPLES_MAX))
+    assert code == 0 and len(out.splitlines()) == 4
+    assert drawn == [cli.SAMPLES_MAX]
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "simulate", "decompose"])
+def test_non_utf8_byte_exits_2(command, dist_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"HEADER m=1 n=1\nPHASE 00 \xff\n")
+    argv = [command, str(bad)] + ([dist_file] if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: byte 24 is not UTF-8\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_plain_path_reads_every_phase_and_xrot_line(mode, n, tmp_path, capsys):
+    # only head lines are left to the line-by-line loop, in every synth format
+    raw = np.random.default_rng(n).random(1 << n)
+    dist = tmp_path / "dist.json"
+    dist.write_text(serialize_dist(validate(raw / math.fsum(raw), n)) + "\n")
+    flags = ["--mode", "approx", "--m", str(n + 1)] if mode == "approx" else []
+    plain = synth._CircuitReader._plain
+    counts = []
+
+    def spy(reader, *args):
+        counts.append(plain(reader, *args))
+        return counts[-1]
+
+    gates = []
+    for form in ([], ["--format", "gates"], ["--lower"]):
+        code, text, _ = run(capsys, "synth", str(dist), *flags, *form)
+        assert code == 0
+        counts.clear()
+        with mock.patch.object(synth._CircuitReader, "_plain", spy):
+            circ = synth.parse_circuit(text)
+        runs = sum(line.startswith(("PHASE ", "XROT ")) for line in text.splitlines())
+        assert None not in counts and sum(counts) == runs
+        if form:
+            gates.append(circ.gates)
+    as_gates, lowered = gates
+    assert as_gates.masks.tobytes() == lowered.masks.tobytes()
+    assert as_gates.angles.tobytes() == lowered.angles.tobytes()
+    assert as_gates.global_phase == lowered.global_phase
 
 
 def test_decompose_certificate(dist_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Phase-table synthesis, gate lowering, and the circuit file format."""
 
 import math
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -449,12 +450,12 @@ def test_block_parser_errors_across_chunks():
     dup[deep] = lines[10]
     bits = lines[10].split()[1]
     assert parse_error(dup) == f"line {deep + 1}: duplicate PHASE for {bits!r}"
-    # a bad bitstring on each line around the ends of the first two chunks,
-    # which run to the first newline _CHUNK_CHARS or more past their start
-    text = "".join(lines)
-    second = text.index("\n", synth._CHUNK_CHARS) + 1 + synth._CHUNK_CHARS
-    ends = [text[:stop].count("\n") for stop in (synth._CHUNK_CHARS, second)]
-    for index in [i for end in ends for i in range(end - 1, end + 2)]:
+    # a bad bitstring on each PHASE line around the ends of the first three
+    # blocks: the head, which is a block of its own, and two PHASE blocks
+    ends = list(accumulate(block.count("\n") for block in synth._chunks("".join(lines))))
+    assert ends[0] == 2
+    probes = [i for end in ends[:3] for i in range(end - 1, end + 2)]
+    for index in [i for i in probes if lines[i].startswith("PHASE ")]:
         bad = lines.copy()
         bad[index] = "PHASE 2" + lines[index][len("PHASE 0") :]
         bits = bad[index].split()[1]
@@ -499,8 +500,9 @@ def test_plain_blocks_read_as_lines_do(keyword):
 
     with mock.patch.object(synth._CircuitReader, "_plain", spy):
         canonical = parsed(text)
-    # every block but the first, which holds the header, is plain
-    assert len(stored) >= 3 and None not in stored
+    # the head is a block of its own, and every PHASE or XROT block is plain
+    assert len(stored) == len(list(synth._chunks(text))) - 1 >= 3 and None not in stored
+    assert sum(stored) == sum(line.startswith(keyword + " ") for line in lines)
     assert canonical == parsed_by_lines(text)
 
     deep = 3 * len(lines) // 4
