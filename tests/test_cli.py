@@ -493,3 +493,165 @@ def test_parser_serves_repeated_calls(dist_file, capsys):
     assert run(capsys, "decompose", dist_file, "--sparsity", "4")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
     assert cli._build_parser() is cli._build_parser()
+
+
+# One input per refusal the command line can reach, with the exact exit code
+# and stderr it must end in.  Each case runs in a directory holding d.json (a
+# fair coin), d2.json (a 2-bit distribution), c.txt (a one-qubit circuit
+# whose marginal is that coin) and, when the case gives one, its input as in.
+REFUSAL_FILES = {
+    "d.json": '{"n": 1, "probs": {"0": 0.5, "1": 0.5}}',
+    "d2.json": '{"n": 2, "probs": {"00": 1.0}}',
+    "c.txt": "HEADER m=0 n=1\nPHASE 0 0\nPHASE 1 1.5707963267948966\n",
+}
+
+
+def _disagreeing_marginals(monkeypatch):
+    exact = cli.marginal_full
+
+    def perturbed(table):
+        probs = exact(table).probs.copy()
+        probs[[0, 1]] += [1e-9, -1e-9]
+        return ProbVector(table.n, probs)
+
+    monkeypatch.setattr(cli, "marginal_full", perturbed)
+
+
+def _qubit_cap(value):
+    return lambda monkeypatch: monkeypatch.setenv("IQP_MAX_QUBITS", value)
+
+
+def _refusal(case_id, argv, text, code, message, setup=None):
+    return pytest.param(argv.split(), text, code, message, setup, id=case_id)
+
+
+HEADER_1 = "HEADER m=0 n=1\n"
+
+REFUSALS = [
+    # argument checks
+    _refusal("exact-with-m", "synth d.json --m 3", None, 2,
+             "--m is fixed at n+1 in exact mode; drop the flag"),
+    _refusal("approx-without-m", "synth d.json --mode approx", None, 2,
+             "approx mode needs --m"),
+    _refusal("negative-tolerance", "verify c.txt d.json --tolerance -1", None, 2,
+             "--tolerance must be a nonnegative number"),
+    _refusal("negative-samples", "simulate c.txt --samples -1", None, 2,
+             "--samples must be nonnegative"),
+    _refusal("negative-seed", "simulate c.txt --seed -1", None, 2,
+             "--seed must be nonnegative"),
+    _refusal("missing-file", "decompose nope.json", None, 2,
+             "[Errno 2] No such file or directory: 'nope.json'"),
+    _refusal("not-utf8", "synth in", b'{"n": 0, "dense": [1\xff]}', 2,
+             "in: byte 20 is not UTF-8"),
+    _refusal("cap-variable", "synth d.json", None, 2,
+             "IQP_MAX_QUBITS must be an integer, got 'x'", _qubit_cap("x")),
+    # parse_dist and validate
+    _refusal("invalid-json", "synth in", "{", 2,
+             "invalid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+    _refusal("not-object", "decompose in", "[]", 2, "top level must be a JSON object"),
+    _refusal("unknown-key", "synth in", '{"n": 1, "probs": {}, "x": 1}', 2,
+             "unknown keys: ['x']"),
+    _refusal("bad-n", "synth in", '{"n": -1, "probs": {}}', 2,
+             '"n" must be a nonnegative integer'),
+    _refusal("no-masses", "synth in", '{"n": 1}', 2,
+             'exactly one of "probs" or "dense" is required'),
+    _refusal("dense-not-numbers", "synth in", '{"n": 1, "dense": [0.5, "a"]}', 2,
+             '"dense" must be a list of numbers'),
+    _refusal("huge-integer", "synth in", '{"n": 1, "dense": [1' + "0" * 400 + ", 0]}",
+             2, '"dense" holds an integer too large for a float'),
+    _refusal("probs-not-object", "synth in", '{"n": 1, "probs": []}', 2,
+             '"probs" must be an object keyed by bitstrings'),
+    _refusal("value-not-number", "synth in", '{"n": 1, "probs": {"0": "a"}}', 2,
+             "value for '0' is not a number"),
+    _refusal("bad-key", "synth in", '{"n": 1, "probs": {"00": 1.0}}', 2,
+             "key '00' is not a 1-bit string"),
+    _refusal("wrong-length", "synth in", '{"n": 1, "dense": [1.0]}', 2,
+             "expected 2 entries for n=1, got shape (1,)"),
+    _refusal("not-finite", "decompose in", '{"n": 1, "dense": [NaN, 1.0]}', 2,
+             "entries must be finite"),
+    _refusal("negative-mass", "synth in", '{"n": 1, "dense": [-0.5, 1.5]}', 2,
+             "entry -0.5 is below -1e-12"),
+    _refusal("bad-sum", "synth in", '{"n": 1, "dense": [0.5, 0.25]}', 2,
+             "entries sum to 0.75, expected 1 within 1e-09"),
+    # the circuit reader
+    _refusal("empty-circuit", "simulate in", "", 2, "missing HEADER line"),
+    _refusal("no-header", "simulate in", "PHASE 0 0\n", 2,
+             "line 1: expected HEADER, got 'PHASE'"),
+    _refusal("short-header", "simulate in", "HEADER m=0\n", 2,
+             "line 1: HEADER takes m=<int> n=<int>"),
+    _refusal("header-field", "simulate in", "HEADER m=0 k=1\n", 2,
+             "line 1: bad HEADER field 'k=1'"),
+    _refusal("header-integer", "simulate in", "HEADER m=a n=1\n", 2,
+             "line 1: m must be an integer"),
+    _refusal("header-negative", "simulate in", "HEADER m=-1 n=1\n", 2,
+             "line 1: HEADER needs m>=0 and n>=0"),
+    _refusal("duplicate-header", "simulate in", HEADER_1 * 2, 2,
+             "line 2: duplicate HEADER"),
+    _refusal("globalphase-arity", "simulate in", HEADER_1 + "GLOBALPHASE\n", 2,
+             "line 2: GLOBALPHASE takes one angle"),
+    _refusal("duplicate-globalphase", "simulate in", HEADER_1 + "GLOBALPHASE 0\n" * 2,
+             2, "line 3: duplicate GLOBALPHASE"),
+    _refusal("globalphase-angle", "simulate in", HEADER_1 + "GLOBALPHASE x\n", 2,
+             "line 2: bad angle 'x'"),
+    _refusal("globalphase-infinite", "simulate in", HEADER_1 + "GLOBALPHASE inf\n", 2,
+             "line 2: angle must be finite"),
+    _refusal("unknown-keyword", "simulate in", HEADER_1 + "FOO 1\n", 2,
+             "line 2: unknown keyword 'FOO'"),
+    _refusal("phase-arity", "simulate in", HEADER_1 + "PHASE 0\n", 2,
+             "line 2: PHASE takes a bitstring and angle"),
+    _refusal("zero-qubit-phase-arity", "simulate in", "HEADER m=0 n=0\nPHASE 0 1\n", 2,
+             "line 2: PHASE takes an angle"),
+    _refusal("xrot-arity", "simulate in", HEADER_1 + "XROT 0.5\n", 2,
+             "line 2: XROT takes an angle and qubits"),
+    _refusal("bitstring-width", "simulate in", HEADER_1 + "PHASE 01 0\n", 2,
+             "line 2: bitstring '01' is not 1 bits"),
+    _refusal("duplicate-phase", "simulate in", HEADER_1 + "PHASE 0 0\n" * 2, 2,
+             "line 3: duplicate PHASE for '0'"),
+    _refusal("phase-angle", "simulate in", HEADER_1 + "PHASE 0 x\n", 2,
+             "line 2: bad angle 'x'"),
+    _refusal("qubit-token", "simulate in", HEADER_1 + "XROT 0.5 p0\n", 2,
+             "line 2: bad qubit token 'p0'"),
+    _refusal("qubit-order", "simulate in", "HEADER m=0 n=2\nXROT 0.5 q1,q0\n", 2,
+             "line 2: qubits must be ascending distinct"),
+    _refusal("qubit-outside", "simulate in", HEADER_1 + "XROT 0.5 q3\n", 2,
+             "line 2: qubit q3 outside header"),
+    _refusal("duplicate-xrot", "simulate in", HEADER_1 + "XROT 0.5 q0\n" * 2, 2,
+             "line 3: duplicate XROT support"),
+    _refusal("header-only", "verify in d.json", HEADER_1, 2,
+             "circuit file carries neither phases nor gates"),
+    _refusal("dimension-clash", "verify c.txt d2.json", None, 2,
+             "distribution is over 2 bits, circuit header says 1"),
+    # the caps
+    _refusal("distribution-cap", "synth in", '{"n": 40, "probs": {}}', 3,
+             "distribution needs 40 qubits, cap is 24"),
+    _refusal("circuit-header-cap", "verify in d.json", "HEADER m=30 n=30\n", 3,
+             "circuit header needs 60 qubits, cap is 24"),
+    _refusal("table-cap", "synth d.json --mode approx --m 40", None, 3,
+             "phase table needs 41 qubits, cap is 24"),
+    _refusal("lowering-cap", "synth in --format gates", '{"n": 8, "probs": {"00000000": 1}}',
+             3, "lowering needs 17 qubits, cap is 16"),
+    _refusal("lowered-cap", "synth d.json", None, 3, "phase table needs 3 qubits, cap is 2",
+             _qubit_cap("2")),
+    _refusal("sample-cap", "simulate c.txt --samples 16777217", None, 3,
+             "--samples 16777217 is over the cap of 16777216"),
+    # the two marginal routes disagree
+    _refusal("marginal-disagreement", "verify c.txt d.json", None, 4,
+             "internal: mixture and dense marginals disagree", _disagreeing_marginals),
+]
+
+
+@pytest.mark.parametrize("argv, text, code, message, setup", REFUSALS)
+def test_refusal_exit_codes_and_messages(argv, text, code, message, setup, tmp_path,
+                                         capsys, monkeypatch):
+    for name, content in REFUSAL_FILES.items():
+        (tmp_path / name).write_text(content)
+    if isinstance(text, bytes):
+        (tmp_path / "in").write_bytes(text)
+    elif text is not None:
+        (tmp_path / "in").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("IQP_MAX_QUBITS", raising=False)
+    if setup is not None:
+        setup(monkeypatch)
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
