@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import FormatError, TooManyQubits
+from .errors import IqpError, OverCap
 
 TAU = 2.0 * np.pi
 
@@ -32,15 +32,15 @@ def qubit_cap(default: int) -> int:
     try:
         override = int(raw)
     except ValueError as exc:
-        raise FormatError(f"{ENV_MAX_QUBITS} must be an integer, got {raw!r}") from exc
+        raise IqpError(f"{ENV_MAX_QUBITS} must be an integer, got {raw!r}") from exc
     return min(default, override)
 
 
 def enforce_cap(qubits: int, default: int, what: str) -> None:
-    """Raise TooManyQubits when `what` needs more qubits than its cap allows."""
+    """Raise OverCap when `what` needs more qubits than its cap allows."""
     cap = qubit_cap(default)
     if qubits > cap:
-        raise TooManyQubits(f"{what} needs {qubits} qubits, cap is {cap}")
+        raise OverCap(f"{what} needs {qubits} qubits, cap is {cap}")
 
 
 def parity(values: np.ndarray | int) -> np.ndarray | int:

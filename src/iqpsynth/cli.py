@@ -3,7 +3,8 @@
 Exit codes are uniform across subcommands: 0 success (for verify, the
 check passed), 1 a completed verification that failed, 2 bad input or
 usage, 3 a size cap (qubits or samples) refused the computation, 4 an internal
-invariant failed, such as the two marginal routes disagreeing.  Reports and
+invariant failed, such as the two marginal routes disagreeing.  Codes 2 to 4
+are the exit_code of the IqpError class raised (errors.py).  Reports and
 certificates are JSON with a fixed key order; timings are wall-clock
 milliseconds and the only nondeterministic fields anywhere.
 """
@@ -28,16 +29,9 @@ from .decompose import (
     round_to_dyadic,
     rows_to_dists,
 )
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    InternalError,
-    IqpError,
-    TooManyQubits,
-    TooManySamples,
-)
+from .errors import InternalError, IqpError
 from .probdist import ProbVector, format_float, parse_dist, tv_distance
-from .sim import DEFAULT_SEED, marginal_full, marginal_mixture, sample
+from .sim import DEFAULT_SEED, check_sample_count, marginal_full, marginal_mixture, sample
 from .synth import (
     ParsedCircuit,
     PhaseTable,
@@ -57,9 +51,6 @@ DEFAULT_EXACT_TOL = 1e-9
 
 # The full-state cross-check runs only when it is cheap.
 CROSSCHECK_MAX_QUBITS = 20
-
-# simulate --samples is refused past this count, before any draw is made.
-SAMPLES_MAX = 1 << 24
 
 
 def _write_text(path: str, text: str) -> None:
@@ -83,12 +74,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_text(path: str) -> str:
-    """A file's text; a byte that is not UTF-8 is a FormatError naming its offset."""
+    """A file's text; a byte that is not UTF-8 is an IqpError naming its offset."""
     with open(path, encoding="utf-8") as handle:
         try:
             return handle.read()  # decoded in one piece, so offsets are the file's
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: byte {exc.start} is not UTF-8") from None
+            raise IqpError(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
 def _read_dist(path: str) -> ProbVector:
@@ -104,7 +95,7 @@ def _table_of(circ: ParsedCircuit) -> PhaseTable:
         return circ.table
     if circ.gates is not None:
         return gates_to_phases(circ.gates, circ.m)
-    raise FormatError("circuit file carries neither phases nor gates")
+    raise IqpError("circuit file carries neither phases nor gates")
 
 
 def _looks_parity(table: PhaseTable) -> bool:
@@ -119,12 +110,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     p = _read_dist(args.input)
     if args.mode == "exact":
         if args.m is not None:
-            raise FormatError("--m is fixed at n+1 in exact mode; drop the flag")
+            raise IqpError("--m is fixed at n+1 in exact mode; drop the flag")
         enforce_cap(2 * p.n + 1, DENSE_MAX_QUBITS, "phase table")
         table = exact_phase_table(p)
     else:
         if args.m is None:
-            raise FormatError("approx mode needs --m")
+            raise IqpError("approx mode needs --m")
         enforce_cap(args.m + p.n, DENSE_MAX_QUBITS, "phase table")
         q = round_to_dyadic(p, args.m)
         table = approx_phase_table(build_multiplicity_map(q, args.m), p.n)
@@ -149,14 +140,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.tolerance is not None and not args.tolerance >= 0:
-        raise FormatError("--tolerance must be a nonnegative number")
+        raise IqpError("--tolerance must be a nonnegative number")
     t0 = time.perf_counter()
     circ = _read_circuit(args.circuit)
     target = _read_dist(args.dist)
     if target.n != circ.n:
-        raise DimensionMismatch(
-            f"distribution is over {target.n} bits, circuit header says {circ.n}"
-        )
+        raise IqpError(f"distribution is over {target.n} bits, circuit header says {circ.n}")
     t1 = time.perf_counter()
     table = _table_of(circ)
     mode = args.mode
@@ -202,12 +191,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.samples < 0:
-        raise FormatError("--samples must be nonnegative")
-    if args.samples > SAMPLES_MAX:
-        raise TooManySamples(f"--samples {args.samples} is over the cap of {SAMPLES_MAX}")
+    check_sample_count(args.samples)
     if args.seed < 0:
-        raise FormatError("--seed must be nonnegative")
+        raise IqpError("--seed must be nonnegative")
     circ = _read_circuit(args.circuit)
     marginal = marginal_mixture(_table_of(circ))
     lines = [
@@ -305,15 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TooManyQubits, TooManySamples) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except InternalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
     except (IqpError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return exc.exit_code if isinstance(exc, IqpError) else 2
 
 
 if __name__ == "__main__":

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    BadNormalization,
-    DimensionMismatch,
-    InconsistentCounts,
-    LengthMismatch,
-    SparsityViolation,
-)
+from .errors import IqpError
 from .probdist import CLAMP_TOL, ProbVector, sort_with_permutation
 
 # Residual row capacity below SNAP is treated as spent during allocation;
@@ -46,17 +40,17 @@ def _fsum_rows(vals: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.array([math.fsum(row) for row in vals.tolist()])
 
 
-def _freeze_rows(holder, vals_name: str, size: int, error: type[Exception], what: str):
+def _freeze_rows(holder, vals_name: str, size: int, what: str):
     """Replace a holder's cols and values by checked, read-only arrays.
 
     Filled slots (cols >= 0) come first in each row, ascending and distinct
     within [0, size), with positive values; empty slots hold -1 and 0.0.
-    Anything else raises error naming the first bad row.
+    Anything else raises IqpError naming the first bad row.
     """
     cols = np.array(holder.cols, dtype=np.int64)
     vals = np.array(getattr(holder, vals_name), dtype=np.float64)
     if cols.ndim != 2 or cols.shape != vals.shape:
-        raise error(f"{what} columns and values must be 2-D arrays of one shape")
+        raise IqpError(f"{what} columns and values must be 2-D arrays of one shape")
     filled = cols >= 0
     for message, bad in (
         ("entries must be distinct and ascending",
@@ -65,7 +59,7 @@ def _freeze_rows(holder, vals_name: str, size: int, error: type[Exception], what
         ("values must be positive", np.where(filled, ~(vals > 0.0), vals != 0.0)),
     ):
         if bad.any():
-            raise error(f"{what} {bad.any(axis=1).argmax()}: {message}")
+            raise IqpError(f"{what} {bad.any(axis=1).argmax()}: {message}")
     cols.flags.writeable = vals.flags.writeable = False
     object.__setattr__(holder, "cols", cols)
     object.__setattr__(holder, vals_name, vals)
@@ -85,12 +79,12 @@ class Mixture:
     masses: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        _freeze_rows(self, "masses", 1 << self.n, LengthMismatch, "component")
+        _freeze_rows(self, "masses", 1 << self.n, "component")
         totals = _fsum_rows(self.masses)
         off = np.abs(totals - 1.0) > 1e-12
         if off.any():
             k = off.argmax()
-            raise LengthMismatch(f"component {k} masses sum to {float(totals[k])!r}, expected 1")
+            raise IqpError(f"component {k} masses sum to {float(totals[k])!r}, expected 1")
 
     def __len__(self) -> int:
         return self.cols.shape[0]
@@ -114,12 +108,12 @@ class AllocationMatrix:
     vals: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        _freeze_rows(self, "vals", self.N, DimensionMismatch, "row")
+        _freeze_rows(self, "vals", self.N, "row")
         if self.cols.shape[0] != self.N:
-            raise DimensionMismatch(f"expected {self.N} rows, got {self.cols.shape[0]}")
+            raise IqpError(f"expected {self.N} rows, got {self.cols.shape[0]}")
         wide = np.count_nonzero(self.cols >= 0, axis=1) > 3
         if wide.any():
-            raise SparsityViolation(f"row {wide.argmax()} has more than 3 entries")
+            raise IqpError(f"row {wide.argmax()} has more than 3 entries")
 
     def row_sums(self) -> NDArray[np.float64]:
         return _fsum_rows(self.vals)
@@ -131,11 +125,11 @@ class AllocationMatrix:
     def verify_against(self, p: ProbVector, tol: float = 1e-12) -> None:
         """Check row sums and column sums against p; raise on the first violation."""
         if 1 << p.n != self.N:
-            raise DimensionMismatch(f"matrix is {self.N}x{self.N}, p has {1 << p.n}")
+            raise IqpError(f"matrix is {self.N}x{self.N}, p has {1 << p.n}")
         if np.abs(self.row_sums() - 1.0 / self.N).max() > tol:
-            raise DimensionMismatch(f"row sums deviate from 1/{self.N} beyond {tol}")
+            raise IqpError(f"row sums deviate from 1/{self.N} beyond {tol}")
         if np.abs(self.column_sums() - p.probs).max() > tol:
-            raise DimensionMismatch(f"column sums deviate from p beyond {tol}")
+            raise IqpError(f"column sums deviate from p beyond {tol}")
 
 
 def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
@@ -172,7 +166,7 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
             take = min(capacity[i], remaining)
             if take > SNAP:
                 if width[i] == 3:
-                    raise SparsityViolation(f"row {i} exceeded 3 entries during allocation")
+                    raise IqpError(f"row {i} exceeded 3 entries during allocation")
                 pours.append((i, width[i], c, take))
                 width[i] += 1
                 capacity[i] -= take
@@ -190,11 +184,11 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
     # column sum instead.  p is normalized only to CLAMP_TOL, so any larger
     # gap (an empty row included) is a fault, not drift.
     if spilled > CLAMP_TOL:
-        raise BadNormalization(f"{spilled!r} of mass left over past the last row")
+        raise IqpError(f"{spilled!r} of mass left over past the last row")
     short = target - _fsum_rows(svals)
     off = np.abs(short) > CLAMP_TOL
     if off.any():
-        raise BadNormalization(f"allocation row off 1/{N} by {float(-short[off.argmax()])!r}")
+        raise IqpError(f"allocation row off 1/{N} by {float(-short[off.argmax()])!r}")
     svals[np.arange(N), np.array(width) - 1] += short
 
     # Back to outcome labels, each row ascending by column.
@@ -221,7 +215,7 @@ def split_3_to_2(rows: Mixture) -> Mixture:
     already 2-sparse or sharper return as both halves unchanged.
     """
     if rows.cols.shape[1] != 3:
-        raise SparsityViolation(f"expected 3 slots a component, got {rows.cols.shape[1]}")
+        raise IqpError(f"expected 3 slots a component, got {rows.cols.shape[1]}")
     by_mass = np.argsort(rows.masses, axis=1, kind="stable")
     at = np.arange(len(rows))[:, None]
     cols, masses = rows.cols[at, by_mass], rows.masses[at, by_mass]
@@ -260,7 +254,7 @@ def round_to_dyadic(p: ProbVector, m: int) -> ProbVector:
     """
     n = p.n
     if m < 0:
-        raise LengthMismatch(f"grid resolution must be nonnegative, got m={m}")
+        raise IqpError(f"grid resolution must be nonnegative, got m={m}")
     scale = float(1 << m)
     scaled = p.probs * scale  # exact: multiplication by a power of 2
     counts = np.floor(scaled).astype(np.int64)
@@ -271,7 +265,7 @@ def round_to_dyadic(p: ProbVector, m: int) -> ProbVector:
     frac[bump] = 0.0
     surplus = (1 << m) - int(counts.sum())
     if surplus < 0 or surplus > 1 << n:
-        raise InconsistentCounts(f"surplus {surplus} outside [0, 2**n]")
+        raise IqpError(f"surplus {surplus} outside [0, 2**n]")
     order = np.lexsort((np.arange(1 << n), -frac))
     counts[order[:surplus]] += 1
     return ProbVector(n, counts / scale)
@@ -284,13 +278,13 @@ def build_multiplicity_map(q: ProbVector, m: int) -> NDArray[np.int64]:
     returned int64 array is read-only.
     """
     if m < 0:
-        raise LengthMismatch(f"grid resolution must be nonnegative, got m={m}")
+        raise IqpError(f"grid resolution must be nonnegative, got m={m}")
     scale = float(1 << m)
     counts = np.rint(q.probs * scale).astype(np.int64)
     if not np.array_equal(counts / scale, q.probs):
-        raise InconsistentCounts("q is not exactly dyadic at resolution m")
+        raise IqpError("q is not exactly dyadic at resolution m")
     if int(counts.sum()) != 1 << m:
-        raise InconsistentCounts("dyadic counts do not fill 2**m slots")
+        raise IqpError("dyadic counts do not fill 2**m slots")
     v = np.repeat(np.arange(len(q), dtype=np.int64), counts)
     v.flags.writeable = False
     return v

@@ -26,13 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._bits import DENSE_MAX_QUBITS, bit_keys, enforce_cap
-from .errors import (
-    BadNormalization,
-    DimensionMismatch,
-    FormatError,
-    LengthMismatch,
-    NegativeMass,
-)
+from .errors import IqpError
 
 # Input sums are accepted within NORM_TOL of 1 and then renormalized exactly;
 # negative dust above -CLAMP_TOL is clamped to zero.
@@ -43,6 +37,14 @@ CLAMP_TOL = 1e-12
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; round-trips doubles exactly."""
     return f"{x:.17g}"
+
+
+def _fsum(values) -> float:
+    """math.fsum, or inf where the sum passes the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def _renormalize_exact(arr: NDArray[np.float64]) -> None:
@@ -61,7 +63,7 @@ def _renormalize_exact(arr: NDArray[np.float64]) -> None:
             return
         arr[int(np.argmax(arr))] += residual
     if math.fsum(arr) != 1.0:
-        raise BadNormalization("renormalization did not reach an exact fixed point")
+        raise IqpError("renormalization did not reach an exact fixed point")
 
 
 @dataclass(frozen=True)
@@ -81,20 +83,19 @@ class ProbVector:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise LengthMismatch(f"bit count must be nonnegative, got {self.n}")
+            raise IqpError(f"bit count must be nonnegative, got {self.n}")
         probs = np.array(self.probs, dtype=np.float64, copy=True)
         if probs.ndim != 1 or probs.shape[0] != 1 << self.n:
-            raise LengthMismatch(
+            raise IqpError(
                 f"expected {1 << self.n} entries for n={self.n}, got shape {probs.shape}"
             )
         if not np.all(np.isfinite(probs)):
-            raise BadNormalization("probabilities must be finite")
+            raise IqpError("probabilities must be finite")
         if np.any(probs < 0.0):
-            raise NegativeMass("probabilities must be nonnegative")
-        if abs(math.fsum(probs) - 1.0) > CLAMP_TOL:
-            raise BadNormalization(
-                f"probabilities sum to {math.fsum(probs)!r}, expected 1 within {CLAMP_TOL}"
-            )
+            raise IqpError("probabilities must be nonnegative")
+        total = _fsum(probs)
+        if abs(total - 1.0) > CLAMP_TOL:
+            raise IqpError(f"probabilities sum to {total!r}, expected 1 within {CLAMP_TOL}")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -124,27 +125,22 @@ def validate(raw, n: int) -> ProbVector:
 
     Raises
     ------
-    LengthMismatch
-        If raw does not have exactly 2**n entries.
-    NegativeMass
-        If any entry is below -1e-12.
-    BadNormalization
-        If entries are not finite or the sum is off 1 by more than 1e-9.
+    IqpError
+        If raw does not have exactly 2**n entries, if any entry is below
+        -1e-12 or not finite, or if the sum is off 1 by more than 1e-9.
     """
     arr = np.array(raw, dtype=np.float64, copy=True)
     if arr.ndim != 1 or arr.shape[0] != 1 << n:
-        raise LengthMismatch(
-            f"expected {1 << n} entries for n={n}, got shape {arr.shape}"
-        )
+        raise IqpError(f"expected {1 << n} entries for n={n}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise BadNormalization("entries must be finite")
+        raise IqpError("entries must be finite")
     if np.any(arr < -CLAMP_TOL):
         worst = float(arr.min())
-        raise NegativeMass(f"entry {worst!r} is below -{CLAMP_TOL}")
+        raise IqpError(f"entry {worst!r} is below -{CLAMP_TOL}")
     arr[arr < 0.0] = 0.0
-    s = math.fsum(arr)
+    s = _fsum(arr)
     if abs(s - 1.0) > NORM_TOL:
-        raise BadNormalization(f"entries sum to {s!r}, expected 1 within {NORM_TOL}")
+        raise IqpError(f"entries sum to {s!r}, expected 1 within {NORM_TOL}")
     _renormalize_exact(arr)
     return ProbVector(n, arr)
 
@@ -152,7 +148,7 @@ def validate(raw, n: int) -> ProbVector:
 def tv_distance(p: ProbVector, q: ProbVector) -> float:
     """Total variation distance, half the L1 distance between p and q."""
     if p.n != q.n:
-        raise DimensionMismatch(f"cannot compare n={p.n} with n={q.n}")
+        raise IqpError(f"cannot compare n={p.n} with n={q.n}")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
@@ -190,50 +186,50 @@ def serialize_dist(p: ProbVector) -> str:
 
 
 def _floats(values: list, field: str) -> NDArray[np.float64]:
-    """JSON numbers as float64; an integer past the float range is a FormatError."""
+    """JSON numbers as float64; an integer past the float range is an IqpError."""
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError:
-        raise FormatError(f'"{field}" holds an integer too large for a float') from None
+        raise IqpError(f'"{field}" holds an integer too large for a float') from None
 
 
 def parse_dist(text: str) -> ProbVector:
     """Parse either JSON form of the distribution file format and validate it."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+        raise IqpError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise FormatError("top level must be a JSON object")
+        raise IqpError("top level must be a JSON object")
     unknown = set(obj) - {"n", "probs", "dense"}
     if unknown:
-        raise FormatError(f"unknown keys: {sorted(unknown)}")
+        raise IqpError(f"unknown keys: {sorted(unknown)}")
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise FormatError('"n" must be a nonnegative integer')
+        raise IqpError('"n" must be a nonnegative integer')
     enforce_cap(n, DENSE_MAX_QUBITS, "distribution")
     has_probs = "probs" in obj
     has_dense = "dense" in obj
     if has_probs == has_dense:
-        raise FormatError('exactly one of "probs" or "dense" is required')
+        raise IqpError('exactly one of "probs" or "dense" is required')
     if has_dense:
         dense = obj["dense"]
         if not isinstance(dense, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in dense
         ):
-            raise FormatError('"dense" must be a list of numbers')
+            raise IqpError('"dense" must be a list of numbers')
         return validate(_floats(dense, "dense"), n)
     probs = obj["probs"]
     if not isinstance(probs, dict):
-        raise FormatError('"probs" must be an object keyed by bitstrings')
+        raise IqpError('"probs" must be an object keyed by bitstrings')
     keys, values = list(probs), list(probs.values())
     index, bad_key = bit_keys(keys, n)
     # the first bad item in file order: a bad value before the first bad key
     if set(map(type, values[:bad_key])) - {int, float}:  # json's bool is its own type
         bad = next(i for i, v in enumerate(values) if type(v) not in (int, float))
-        raise FormatError(f"value for {keys[bad]!r} is not a number")
+        raise IqpError(f"value for {keys[bad]!r} is not a number")
     if bad_key < len(keys):
-        raise FormatError(f"key {keys[bad_key]!r} is not a {n}-bit string")
+        raise IqpError(f"key {keys[bad_key]!r} is not a {n}-bit string")
     arr = np.zeros(1 << n, dtype=np.float64)
     arr[index] = _floats(values, "probs")
     return validate(arr, n)

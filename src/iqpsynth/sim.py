@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._bits import DENSE_MAX_QUBITS, enforce_cap, wht_inplace
-from .errors import BadNormalization, BadTarget
+from .errors import IqpError, OverCap
 from .probdist import ProbVector, validate
 from .synth import GateList, PhaseTable
 
@@ -33,6 +33,9 @@ MIXTURE_MAX_TOTAL = 32
 CHUNK_ENTRIES = 1 << 22
 
 DEFAULT_SEED = 0
+
+# sample() refuses a count past this, before any draw is made.
+SAMPLES_MAX = 1 << 24
 
 _NORM_TOL = 1e-12
 
@@ -47,12 +50,10 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = np.array(self.amps, dtype=np.complex128, copy=True)
         if amps.shape != (1 << self.qubits,):
-            raise BadNormalization(
-                f"expected {1 << self.qubits} amplitudes, got shape {amps.shape}"
-            )
+            raise IqpError(f"expected {1 << self.qubits} amplitudes, got shape {amps.shape}")
         norm = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
-            raise BadNormalization(f"squared norm {norm!r} is not 1 within {_NORM_TOL}")
+            raise IqpError(f"squared norm {norm!r} is not 1 within {_NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
@@ -70,9 +71,9 @@ def apply_hadamard_layer(state: StateVector, targets: Iterable[int]) -> StateVec
     q = state.qubits
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
-        raise BadTarget("duplicate target qubit")
+        raise IqpError("duplicate target qubit")
     if any(t < 0 or t >= q for t in targets):
-        raise BadTarget(f"target outside [0, {q})")
+        raise IqpError(f"target outside [0, {q})")
     amps = state.amps.copy()
     for t in targets:
         lo, hi = amps.reshape(1 << t, 2, -1).swapaxes(0, 1)  # qubit t: bit q-1-t of the index
@@ -145,14 +146,21 @@ def simulate_gates(g: GateList) -> StateVector:
     norm = float(np.vdot(amps, amps).real)
     tol = _NORM_TOL + 4 * np.finfo(np.float64).eps * len(g)
     if not abs(norm - 1.0) <= tol:
-        raise BadNormalization(f"squared norm {norm!r} is not 1 within {tol} over {len(g)} gates")
+        raise IqpError(f"squared norm {norm!r} is not 1 within {tol} over {len(g)} gates")
     return StateVector(total, amps * (np.exp(1j * g.global_phase) / math.sqrt(norm)))
+
+
+def check_sample_count(count: int) -> None:
+    """Refuse a negative count or one over SAMPLES_MAX, in the words of simulate --samples."""
+    if count < 0:
+        raise IqpError("--samples must be nonnegative")
+    if count > SAMPLES_MAX:
+        raise OverCap(f"--samples {count} is over the cap of {SAMPLES_MAX}")
 
 
 def sample(p: ProbVector, count: int, seed: int = DEFAULT_SEED) -> list[str]:
     """Draw count outcome bitstrings from p, reproducibly for a given seed."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    check_sample_count(count)
     if count == 0:
         return []
     rng = np.random.default_rng(seed)

@@ -57,13 +57,7 @@ from ._bits import (
     wht_inplace,
 )
 from .decompose import decompose_2sparse
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    LengthMismatch,
-    MassOutOfRange,
-    OutcomeOutOfRange,
-)
+from .errors import IqpError
 from .probdist import ProbVector, format_float
 
 # Lowered rotations with canonical angle at most GATE_TOL are dropped.
@@ -90,14 +84,12 @@ class PhaseTable:
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
-            raise DimensionMismatch("qubit counts must be nonnegative")
+            raise IqpError("qubit counts must be nonnegative")
         theta = np.asarray(self.theta, dtype=np.float64).ravel()
         if theta.shape[0] != 1 << (self.m + self.n):
-            raise LengthMismatch(
-                f"expected {1 << (self.m + self.n)} phases, got {theta.shape[0]}"
-            )
+            raise IqpError(f"expected {1 << (self.m + self.n)} phases, got {theta.shape[0]}")
         if not np.all(np.isfinite(theta)):
-            raise LengthMismatch("phases must be finite")
+            raise IqpError("phases must be finite")
         theta = canonical_phase(theta)  # a fresh array: the caller's is untouched
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
@@ -140,11 +132,11 @@ def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
     """
     size = 1 << n
     if not 0 <= b1 < size:
-        raise OutcomeOutOfRange(f"b1={b1} outside [0, {size})")
+        raise IqpError(f"b1={b1} outside [0, {size})")
     if not 0 <= b2 < size:
-        raise OutcomeOutOfRange(f"b2={b2} outside [0, {size})")
+        raise IqpError(f"b2={b2} outside [0, {size})")
     if not math.isfinite(mass) or mass < -MASS_TOL or mass > 1.0 + MASS_TOL:
-        raise MassOutOfRange(f"mass {mass!r} outside [0, 1]")
+        raise IqpError(f"mass {mass!r} outside [0, 1]")
     return PhaseTable(0, n, _pair_rows([b1], [b2], [mass], n))
 
 
@@ -170,9 +162,9 @@ def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
     """
     size = len(v)
     if not size or size & (size - 1):
-        raise LengthMismatch(f"expected 2**m multiplicity labels, got {size}")
+        raise IqpError(f"expected 2**m multiplicity labels, got {size}")
     if not 0 <= int(v.min()) <= int(v.max()) < 1 << n:
-        raise OutcomeOutOfRange(f"multiplicity labels must lie in [0, 2**{n})")
+        raise IqpError(f"multiplicity labels must lie in [0, 2**{n})")
     return PhaseTable(size.bit_length() - 1, n, _parity_rows(v, v, np.zeros(size), n))
 
 
@@ -192,21 +184,21 @@ class GateList:
 
     def __post_init__(self) -> None:
         if self.total_qubits < 0:
-            raise DimensionMismatch("qubit count must be nonnegative")
+            raise IqpError("qubit count must be nonnegative")
         if not math.isfinite(self.global_phase):
-            raise LengthMismatch("global phase must be finite")
+            raise IqpError("global phase must be finite")
         masks = np.array(self.masks, dtype=np.int64)
         angles = np.asarray(self.angles, dtype=np.float64)
         if masks.ndim != 1 or masks.shape != angles.shape:
-            raise LengthMismatch("gate masks and angles must be 1-D and of one length")
+            raise IqpError("gate masks and angles must be 1-D and of one length")
         if not masks.all():
-            raise LengthMismatch("gate supports must be nonempty")
+            raise IqpError("gate supports must be nonempty")
         if masks.size and (masks.min() < 0 or int(masks.max()) >> self.total_qubits):
-            raise DimensionMismatch(f"gate masks must lie in (0, 2**{self.total_qubits})")
+            raise IqpError(f"gate masks must lie in (0, 2**{self.total_qubits})")
         if np.unique(masks).size != masks.size:
-            raise LengthMismatch("duplicate gate support")
+            raise IqpError("duplicate gate support")
         if not np.all(np.isfinite(angles)):
-            raise LengthMismatch("gate angles must be finite")
+            raise IqpError("gate angles must be finite")
         angles = canonical_angle(angles)
         masks.flags.writeable = angles.flags.writeable = False
         object.__setattr__(self, "masks", masks)
@@ -242,7 +234,7 @@ def gates_to_phases(g: GateList, m: int = 0) -> PhaseTable:
     """
     total = g.total_qubits
     if not 0 <= m <= total:
-        raise DimensionMismatch(f"m={m} outside [0, {total}]")
+        raise IqpError(f"m={m} outside [0, {total}]")
     enforce_cap(total, WALSH_MAX_QUBITS, "raising")
     c = np.zeros(1 << total, dtype=np.float64)
     c[0] = g.global_phase
@@ -274,11 +266,11 @@ def serialize_circuit(
     round-trips even when phases are zero.
     """
     if table is None and gates is None:
-        raise FormatError("nothing to serialize: no table and no gates")
+        raise IqpError("nothing to serialize: no table and no gates")
     if table is not None and (table.m != m or table.n != n):
-        raise DimensionMismatch("table sizes disagree with header")
+        raise IqpError("table sizes disagree with header")
     if gates is not None and gates.total_qubits != m + n:
-        raise DimensionMismatch("gate qubit count disagrees with header")
+        raise IqpError("gate qubit count disagrees with header")
     lines = []
     if mode is not None:
         lines.append(f"# mode: {mode}")
@@ -389,7 +381,7 @@ class _CircuitReader:
     """Parser state carried from one block of circuit text to the next.
 
     Each block's PHASE and XROT lines are validated together as arrays.  A
-    block raises FormatError for its first malformed line, so errors come
+    block raises IqpError for its first malformed line, so errors come
     out in file order with the messages of a line-by-line reading.
     """
 
@@ -415,7 +407,7 @@ class _CircuitReader:
         lines = block.splitlines()
         phases: list[tuple[int, str, str]] = []  # line number and two fields
         xrots: list[tuple[int, str, str]] = []
-        stop: FormatError | None = None
+        stop: IqpError | None = None
         for lineno, raw in enumerate(lines, start=first):
             line, hashmark, comment = raw.partition("#")
             if hashmark and self.mode is None:
@@ -431,22 +423,23 @@ class _CircuitReader:
                     if len(tokens) != (3 if self.total else 2):
                         # zero-qubit circuits have one basis state and no bitstring
                         wanted = "a bitstring and angle" if self.total else "an angle"
-                        raise FormatError(f"line {lineno}: PHASE takes {wanted}")
+                        raise IqpError(f"line {lineno}: PHASE takes {wanted}")
                     phases.append((lineno, tokens[1] if self.total else "", tokens[-1]))
                 elif keyword == "XROT" and self.saw_header:
                     if len(tokens) < 3:
-                        raise FormatError(f"line {lineno}: XROT takes an angle and qubits")
+                        raise IqpError(f"line {lineno}: XROT takes an angle and qubits")
                     xrots.append((lineno, tokens[1], "".join(tokens[2:])))
                 else:
                     self._line(tokens, lineno)
-            except FormatError as exc:
+            except IqpError as exc:
                 stop = exc
                 break
-        # every line gathered precedes `stop`, so their errors come first
+        # every line gathered precedes `stop`, so their errors come first; none
+        # is gathered before HEADER, so the header cap's OverCap passes unchanged
         stores = (self._phases, phases), (self._xrots, xrots)
         found = [store(*zip(*rows)) for store, rows in stores if rows]
         if any(found):
-            raise FormatError("line {}: {}".format(*min(filter(None, found))))
+            raise IqpError("line {}: {}".format(*min(filter(None, found))))
         if stop is not None:
             raise stop
         return len(lines)
@@ -480,39 +473,37 @@ class _CircuitReader:
         keyword = tokens[0]
         if not self.saw_header:
             if keyword != "HEADER":
-                raise FormatError(f"line {lineno}: expected HEADER, got {keyword!r}")
+                raise IqpError(f"line {lineno}: expected HEADER, got {keyword!r}")
             if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: HEADER takes m=<int> n=<int>")
+                raise IqpError(f"line {lineno}: HEADER takes m=<int> n=<int>")
             sizes = {}
             for token in tokens[1:]:
                 key, eq, value = token.partition("=")
                 if eq != "=" or key not in ("m", "n") or key in sizes:
-                    raise FormatError(f"line {lineno}: bad HEADER field {token!r}")
+                    raise IqpError(f"line {lineno}: bad HEADER field {token!r}")
                 try:
                     sizes[key] = int(value)
                 except ValueError:
-                    raise FormatError(
-                        f"line {lineno}: {key} must be an integer"
-                    ) from None
+                    raise IqpError(f"line {lineno}: {key} must be an integer") from None
             if set(sizes) != {"m", "n"} or sizes["m"] < 0 or sizes["n"] < 0:
-                raise FormatError(f"line {lineno}: HEADER needs m>=0 and n>=0")
+                raise IqpError(f"line {lineno}: HEADER needs m>=0 and n>=0")
             self.m, self.n = sizes["m"], sizes["n"]
             self.total = self.m + self.n
             enforce_cap(self.total, DENSE_MAX_QUBITS, "circuit header")
             self.saw_header = True
         elif keyword == "HEADER":
-            raise FormatError(f"line {lineno}: duplicate HEADER")
+            raise IqpError(f"line {lineno}: duplicate HEADER")
         elif keyword == "GLOBALPHASE":
             if len(tokens) != 2:
-                raise FormatError(f"line {lineno}: GLOBALPHASE takes one angle")
+                raise IqpError(f"line {lineno}: GLOBALPHASE takes one angle")
             if self.global_phase is not None:
-                raise FormatError(f"line {lineno}: duplicate GLOBALPHASE")
+                raise IqpError(f"line {lineno}: duplicate GLOBALPHASE")
             values, error = _angle_values(tokens[1:])
             if error is not None:
-                raise FormatError(f"line {lineno}: {error[1]}")
+                raise IqpError(f"line {lineno}: {error[1]}")
             self.global_phase = float(values[0])
         else:
-            raise FormatError(f"line {lineno}: unknown keyword {keyword!r}")
+            raise IqpError(f"line {lineno}: unknown keyword {keyword!r}")
 
     def _phases(
         self, at: Sequence[int], bits: Sequence[str], angles: Sequence[str]
@@ -594,7 +585,7 @@ class _CircuitReader:
     def result(self) -> ParsedCircuit:
         """The parsed circuit, once every block has been read."""
         if not self.saw_header:
-            raise FormatError("missing HEADER line")
+            raise IqpError("missing HEADER line")
         table = None
         if self.theta is not None:
             table = PhaseTable(self.m, self.n, self.theta)
@@ -610,7 +601,7 @@ class _CircuitReader:
 def parse_circuit(text: str) -> ParsedCircuit:
     """Parse a circuit file, validating sizes, duplicates, and ranges.
 
-    Raises FormatError with a line number on the first malformed line.
+    Raises IqpError with a line number on the first malformed line.
     """
     reader = _CircuitReader()
     lineno = 1

@@ -13,7 +13,7 @@ from iqpsynth._bits import (
     qubit_cap,
     wht_inplace,
 )
-from iqpsynth.errors import FormatError
+from iqpsynth.errors import IqpError
 from iqpsynth.synth import GateList, parse_circuit, serialize_circuit
 
 from helpers import oracle_wht
@@ -138,5 +138,5 @@ def test_qubit_cap_env(monkeypatch):
     assert qubit_cap(24) == 10
     assert qubit_cap(8) == 8
     monkeypatch.setenv("IQP_MAX_QUBITS", "banana")
-    with pytest.raises(FormatError):
+    with pytest.raises(IqpError, match="IQP_MAX_QUBITS must be an integer, got 'banana'"):
         qubit_cap(24)

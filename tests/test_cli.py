@@ -1,16 +1,22 @@
 """Command-line behavior: exit codes, file formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqpsynth import cli, synth
 from iqpsynth.cli import main
+from iqpsynth.errors import InternalError, IqpError, OverCap
 from iqpsynth.probdist import ProbVector, parse_dist, serialize_dist, validate
+from iqpsynth.sim import SAMPLES_MAX
 
 
 @pytest.fixture
@@ -193,14 +199,14 @@ def test_simulate_refuses_oversized_samples(dist_file, tmp_path, capsys, monkeyp
         return []
 
     monkeypatch.setattr(cli, "sample", sample)
-    for count in (10**14, 10**23, cli.SAMPLES_MAX + 1):
+    for count in (10**14, 10**23, SAMPLES_MAX + 1):
         code, out, err = run(capsys, "simulate", circuit, "--samples", str(count))
         assert code == 3 and out == ""
-        assert err == f"error: --samples {count} is over the cap of {cli.SAMPLES_MAX}\n"
+        assert err == f"error: --samples {count} is over the cap of {SAMPLES_MAX}\n"
     assert drawn == []
-    code, out, _ = run(capsys, "simulate", circuit, "--samples", str(cli.SAMPLES_MAX))
+    code, out, _ = run(capsys, "simulate", circuit, "--samples", str(SAMPLES_MAX))
     assert code == 0 and len(out.splitlines()) == 4
-    assert drawn == [cli.SAMPLES_MAX]
+    assert drawn == [SAMPLES_MAX]
 
 
 @pytest.mark.parametrize("command", ["synth", "verify", "simulate", "decompose"])
@@ -655,3 +661,115 @@ def test_refusal_exit_codes_and_messages(argv, text, code, message, setup, tmp_p
     if setup is not None:
         setup(monkeypatch)
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "form",
+    ['"dense": [1e308, 1e308, 0, 0]', '"probs": {"00": 1e308, "01": 1e308}'],
+    ids=["dense", "probs"],
+)
+def test_sum_past_the_float_range_exits_2(form, tmp_path, capsys):
+    # math.fsum overflows on these masses; they are a bad sum, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, ' + form + "}")
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("HEADER m=0 n=2\n")  # verify reads the distribution next
+    message = "error: entries sum to inf, expected 1 within 1e-09\n"
+    for argv in (["synth", path], ["decompose", path], ["verify", circuit, path]):
+        assert run(capsys, *map(str, argv)) == (2, "", message)
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    circuit = tmp_path / "c.txt"
+    circuit.write_text(REFUSAL_FILES["c.txt"])
+    message = "error: invalid JSON: maximum recursion depth exceeded"
+    for argv in (["synth", path], ["decompose", path], ["verify", circuit, path]):
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, code", [(IqpError, 2), (OverCap, 3), (InternalError, 4), (OSError, 2)]
+)
+def test_main_returns_the_exit_code_of_the_error(error, code, capsys, monkeypatch):
+    def refuse(args):
+        raise error("stubbed refusal")
+
+    stub = argparse.Namespace(func=refuse)
+    monkeypatch.setattr(cli, "_build_parser", lambda: mock.Mock(parse_args=lambda argv: stub))
+    assert run(capsys, "decompose", "any.json") == (code, "", "error: stubbed refusal\n")
+
+
+# Small valid inputs for the mutation test below, and the extreme numbers it
+# swaps in: past the float range summed, the smallest subnormal, a negative
+# zero, and integers past int64 and past the float range.
+FUZZ_DISTS = (
+    '{"n": 2, "dense": [0.25, 0.25, 0.25, 0.25]}',
+    '{"n": 2, "probs": {"00": 0.5, "11": 0.5}}',
+)
+FUZZ_CIRCUITS = (
+    "# mode: exact\nHEADER m=0 n=2\nPHASE 00 0\nPHASE 01 1.5707963267948966\n"
+    "PHASE 10 3.141592653589793\nPHASE 11 0.5\n",
+    "HEADER m=1 n=1\nGLOBALPHASE 0.5\nXROT -0.25 q0,q1\nXROT 0.75 q1\n",
+)
+EXTREMES = ("1e308", "5e-324", "-0.0", str(2**64), "1" + "0" * 400)
+_SEPARATORS = re.compile(r'([\s,:{}\[\]"=]+)')
+_NUMBER = re.compile(r"-?\d[\d.e+-]*")
+
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(["number", "every", "swap", "drop", "insert"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        st.sampled_from(EXTREMES),
+    ),
+    max_size=3,
+)
+
+
+def mutate(text, steps):
+    """Apply edits to the tokens and separators of text.
+
+    "number" puts an extreme in place of one number, "every" in place of
+    every copy of one number; "swap", "drop" and "insert" move, delete or
+    copy a token or separator.
+    """
+    pieces = _SEPARATORS.split(text)
+    for op, i, j, extreme in steps:
+        numbers = [k for k, piece in enumerate(pieces) if _NUMBER.fullmatch(piece)]
+        if op in ("number", "every") and numbers:
+            k = numbers[i % len(numbers)]
+            targets = [k] if op == "number" else [n for n in numbers if pieces[n] == pieces[k]]
+            for n in targets:
+                pieces[n] = extreme
+        elif op == "swap" and pieces:
+            i, j = i % len(pieces), j % len(pieces)
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        elif op == "drop" and pieces:
+            del pieces[i % len(pieces)]
+        elif op == "insert" and pieces:
+            pieces.insert(i % (len(pieces) + 1), pieces[j % len(pieces)])
+    return "".join(pieces)
+
+
+def test_mutated_inputs_never_escape_main(tmp_path, capsys):
+    dist, circuit = str(tmp_path / "d.json"), str(tmp_path / "c.txt")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_DISTS), edits, st.sampled_from(FUZZ_CIRCUITS), edits)
+    def check(dist_text, dist_edits, circuit_text, circuit_edits):
+        with open(dist, "w") as handle:
+            handle.write(mutate(dist_text, dist_edits))
+        with open(circuit, "w") as handle:
+            handle.write(mutate(circuit_text, circuit_edits))
+        for argv in (["synth", dist], ["decompose", dist], ["simulate", circuit],
+                     ["verify", circuit, dist]):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, err)
+            if code >= 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    check()

@@ -18,12 +18,7 @@ from iqpsynth.decompose import (
     rows_to_dists,
     split_3_to_2,
 )
-from iqpsynth.errors import (
-    BadNormalization,
-    InconsistentCounts,
-    LengthMismatch,
-    SparsityViolation,
-)
+from iqpsynth.errors import IqpError
 from iqpsynth.probdist import ProbVector, sort_with_permutation, tv_distance, validate
 
 from helpers import random_dist
@@ -97,7 +92,7 @@ def test_allocation_matrix_rejects_wide_rows():
     cols = np.full((4, 4), -1)
     vals = np.zeros((4, 4))
     cols[0], vals[0] = [0, 1, 2, 3], [0.1, 0.05, 0.05, 0.05]
-    with pytest.raises(SparsityViolation):
+    with pytest.raises(IqpError, match="row 0 has more than 3 entries"):
         AllocationMatrix(4, cols, vals)
 
 
@@ -132,7 +127,8 @@ def test_allocation_bounds_leftover_mass(scale, monkeypatch):
         return values * scale, perm
 
     monkeypatch.setattr("iqpsynth.decompose.sort_with_permutation", scaled_sort)
-    with pytest.raises(BadNormalization):
+    leftover = "of mass left over past the last row" if scale > 1 else "allocation row off 1/4"
+    with pytest.raises(IqpError, match=leftover):
         allocate_3sparse(validate([0.1, 0.2, 0.3, 0.4], 2))
 
 
@@ -163,30 +159,32 @@ def test_mixture_rejects_bad_components():
     good = Mixture(2, [[0, 3], [2, -1]], [[0.5, 0.5], [1.0, 0.0]])
     assert good.sparsity.tolist() == [2, 1] and len(good) == 2
     assert not (good.cols.flags.writeable or good.masses.flags.writeable)
-    for cols, masses in (
-        ([[0, 3]], [[0.5, 0.4]]),  # sums to 0.9
-        ([[-1, -1]], [[0.0, 0.0]]),  # empty
-        ([[0, 4]], [[0.5, 0.5]]),  # outcome outside [0, 4)
-        ([[-2, 0]], [[0.0, 1.0]]),  # not a padding marker
-        ([[3, 0]], [[0.5, 0.5]]),  # descending
-        ([[-1, 0]], [[0.0, 1.0]]),  # padding before an entry
-        ([[0, -1]], [[1.0, 1e-300]]),  # padding that carries mass
-        ([[0, 1]], [[1.0, 0.0]]),  # an entry without mass
-        ([[0, 1]], [[1.5, -0.5]]),  # negative mass
-        ([[0, 1]], [[0.5]]),  # shapes differ
+    order = "component 0: entries must be distinct and ascending"
+    positive = "component 0: values must be positive"
+    for cols, masses, message in (
+        ([[0, 3]], [[0.5, 0.4]], "component 0 masses sum to 0.9,"),
+        ([[-1, -1]], [[0.0, 0.0]], "component 0 masses sum to 0.0,"),  # empty
+        ([[0, 4]], [[0.5, 0.5]], r"component 0: entries must lie in \[0, 4\)"),
+        ([[-2, 0]], [[0.0, 1.0]], order),  # not a padding marker
+        ([[3, 0]], [[0.5, 0.5]], order),  # descending
+        ([[-1, 0]], [[0.0, 1.0]], order),  # padding before an entry
+        ([[0, -1]], [[1.0, 1e-300]], positive),  # padding that carries mass
+        ([[0, 1]], [[1.0, 0.0]], positive),  # an entry without mass
+        ([[0, 1]], [[1.5, -0.5]], positive),  # negative mass
+        ([[0, 1]], [[0.5]], "component columns and values must be 2-D arrays of one shape"),
     ):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(IqpError, match=message):
             Mixture(2, cols, masses)
 
 
 def test_split_rejects_wide_input():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="component 0: entries must be distinct and ascending"):
         # Mixture itself rejects repeated outcomes
         Mixture(1, [[0, 0]], [[0.5, 0.5]])
     wide = Mixture(2, [[0, 1, 2, 3]], [[0.25, 0.25, 0.25, 0.25]])
-    with pytest.raises(SparsityViolation):
+    with pytest.raises(IqpError, match="expected 3 slots a component, got 4"):
         split_3_to_2(wide)
-    with pytest.raises(SparsityViolation):
+    with pytest.raises(IqpError, match="expected 3 slots a component, got 2"):
         # components come padded to exactly 3 slots
         split_3_to_2(Mixture(2, [[1, 3]], [[0.5, 0.5]]))
 
@@ -246,9 +244,9 @@ def test_dyadic_tie_prefers_lower_index():
 
 
 def test_dyadic_rejects_negative_m():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="grid resolution must be nonnegative, got m=-1"):
         round_to_dyadic(validate([0.5, 0.5], 1), -1)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="grid resolution must be nonnegative, got m=-1"):
         build_multiplicity_map(validate([0.0, 1.0], 1), -1)
 
 
@@ -305,9 +303,10 @@ def test_multiplicity_frozen_example():
 
 
 def test_multiplicity_map_rejects_q_off_the_grid():
-    with pytest.raises(InconsistentCounts):  # 0.3 * 8 is not a whole count
+    # 0.3 * 8 is not a whole count
+    with pytest.raises(IqpError, match="q is not exactly dyadic at resolution m"):
         build_multiplicity_map(validate([0.3, 0.7], 1), 3)
     # on the 2**-41 grid, but its counts overfill the 2**41 slots by 2
     q = ProbVector(1, [0.5, 0.5 + 2.0**-40])
-    with pytest.raises(InconsistentCounts):
+    with pytest.raises(IqpError, match=r"dyadic counts do not fill 2\*\*m slots"):
         build_multiplicity_map(q, 41)

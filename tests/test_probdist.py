@@ -1,19 +1,14 @@
 """Distribution validation, metrics, and the JSON round trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsynth.errors import (
-    BadNormalization,
-    DimensionMismatch,
-    FormatError,
-    LengthMismatch,
-    NegativeMass,
-)
+from iqpsynth.errors import IqpError
 from iqpsynth.probdist import (
     ProbVector,
     parse_dist,
@@ -48,16 +43,33 @@ def test_validate_basic():
 
 
 def test_validate_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match=r"expected 2 entries for n=1, got shape \(3,\)"):
         validate([0.5, 0.5, 0.0], 1)
-    with pytest.raises(NegativeMass):
+    with pytest.raises(IqpError, match="entry -1e-06 is below -1e-12"):
         validate([0.5, 0.5, 1e-6, -1e-6], 2)
-    with pytest.raises(BadNormalization):
+    with pytest.raises(IqpError, match="entries sum to 1.1, expected 1 within 1e-09"):
         validate([0.5, 0.6], 1)
-    with pytest.raises(BadNormalization):
+    with pytest.raises(IqpError, match="entries must be finite"):
         validate([np.nan, 1.0], 1)
-    with pytest.raises(BadNormalization):
+    with pytest.raises(IqpError, match="entries must be finite"):
         validate([np.inf, 1.0], 1)
+
+
+def test_sum_past_the_float_range_is_refused():
+    # math.fsum raises OverflowError on these; the sum reads as inf instead
+    with pytest.raises(IqpError, match="entries sum to inf, expected 1 within 1e-09"):
+        validate([1e308, 1e308, 0.0, 0.0], 2)
+    with pytest.raises(IqpError, match="probabilities sum to inf, expected 1 within 1e-12"):
+        ProbVector(2, np.array([1e308, 1e308, 0.0, 0.0]))
+    for text in ('{"n": 2, "dense": [1e308, 1e308, 0, 0]}',
+                 '{"n": 2, "probs": {"00": 1e308, "01": 1e308}}'):
+        with pytest.raises(IqpError, match="entries sum to inf, expected 1 within 1e-09"):
+            parse_dist(text)
+
+
+def test_parse_refuses_deep_nesting():
+    with pytest.raises(IqpError, match="^invalid JSON: maximum recursion depth exceeded"):
+        parse_dist("[" * 100_000 + "]" * 100_000)
 
 
 def test_validate_clamps_dust():
@@ -68,7 +80,7 @@ def test_validate_clamps_dust():
 
 def test_probvector_rejects_loose_sum():
     # the dataclass itself is strict; only validate() renormalizes
-    with pytest.raises(BadNormalization):
+    with pytest.raises(IqpError, match="probabilities sum to 1.0000000001, expected 1 within"):
         ProbVector(1, np.array([0.5, 0.5 + 1e-10]))
 
 
@@ -109,7 +121,7 @@ def test_tv_distance_frozen_value():
 
 
 def test_tv_distance_dimension_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IqpError, match="cannot compare n=0 with n=1"):
         tv_distance(validate([1.0], 0), validate([0.5, 0.5], 1))
 
 
@@ -160,19 +172,21 @@ def test_parse_sparse_defaults_missing_to_zero():
 
 
 def test_parse_rejects_malformed():
-    for text in (
-        "[1, 2]",
-        '{"n": 2}',
-        '{"n": 2, "probs": {}, "dense": []}',
-        '{"n": 2, "probs": {"0": 1.0}}',
-        '{"n": 2, "probs": {"02": 1.0}}',
-        '{"n": 2, "probs": {"00": "x"}}',
-        '{"n": -1, "probs": {}}',
-        '{"n": 2.5, "probs": {}}',
-        '{"n": 2, "probs": {"00": 1.0}, "extra": 3}',
-        "not json",
+    one_of = 'exactly one of "probs" or "dense" is required'
+    bad_n = '"n" must be a nonnegative integer'
+    for text, message in (
+        ("[1, 2]", "top level must be a JSON object"),
+        ('{"n": 2}', one_of),
+        ('{"n": 2, "probs": {}, "dense": []}', one_of),
+        ('{"n": 2, "probs": {"0": 1.0}}', "key '0' is not a 2-bit string"),
+        ('{"n": 2, "probs": {"02": 1.0}}', "key '02' is not a 2-bit string"),
+        ('{"n": 2, "probs": {"00": "x"}}', "value for '00' is not a number"),
+        ('{"n": -1, "probs": {}}', bad_n),
+        ('{"n": 2.5, "probs": {}}', bad_n),
+        ('{"n": 2, "probs": {"00": 1.0}, "extra": 3}', "unknown keys: ['extra']"),
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
     ):
-        with pytest.raises(FormatError):
+        with pytest.raises(IqpError, match=re.escape(message)):
             parse_dist(text)
 
 
@@ -187,7 +201,7 @@ def test_parse_reports_first_bad_item():
         ('{"0": 0.5, "10": 0.5}', "key '10' is not a 1-bit string"),
     )
     for probs, message in cases:
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(IqpError, match=re.escape(message)) as info:
             parse_dist(f'{{"n": 1, "probs": {probs}}}')
         assert str(info.value) == message
 

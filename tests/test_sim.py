@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsynth.errors import BadNormalization, BadTarget, TooManyQubits
+from iqpsynth import sim
+from iqpsynth.errors import IqpError, OverCap
 from iqpsynth.probdist import validate
 from iqpsynth.sim import (
     DEFAULT_SEED,
@@ -32,9 +33,9 @@ def random_table(rng, m, n):
 
 def test_statevector_validation():
     StateVector(1, np.array([1.0, 0.0]))
-    with pytest.raises(BadNormalization):
+    with pytest.raises(IqpError, match="squared norm 2.0 is not 1 within 1e-12"):
         StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(BadNormalization):
+    with pytest.raises(IqpError, match=r"expected 4 amplitudes, got shape \(2,\)"):
         StateVector(2, np.array([1.0, 0.0]))
 
 
@@ -105,9 +106,9 @@ def test_hadamard_layer_matches_kron_on_any_targets():
 
 def test_hadamard_layer_target_validation():
     state = StateVector(1, np.array([1.0, 0.0]))
-    with pytest.raises(BadTarget):
+    with pytest.raises(IqpError, match="duplicate target qubit"):
         apply_hadamard_layer(state, [0, 0])
-    with pytest.raises(BadTarget):
+    with pytest.raises(IqpError, match=r"target outside \[0, 1\)"):
         apply_hadamard_layer(state, [1])
 
 
@@ -197,11 +198,11 @@ def test_gate_order_is_irrelevant(m, n, seed):
 
 def test_qubit_caps(monkeypatch):
     monkeypatch.setenv("IQP_MAX_QUBITS", "2")
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(OverCap, match="dense state needs 3 qubits, cap is 2"):
         full_statevector(PhaseTable(2, 1, np.zeros(8)))
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(OverCap, match="mixture walk needs 3 qubits, cap is 2"):
         marginal_mixture(PhaseTable(2, 1, np.zeros(8)))
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(OverCap, match="gate simulation needs 3 qubits, cap is 2"):
         simulate_gates(GateList(3, 0.0, [], []))
     monkeypatch.delenv("IQP_MAX_QUBITS")
     marginal_mixture(PhaseTable(2, 1, np.zeros(8)))
@@ -241,5 +242,26 @@ def test_sample_never_emits_zero_mass_outcomes():
 
 
 def test_sample_rejects_negative_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(IqpError, match="--samples must be nonnegative"):
         sample(validate([1.0], 0), -1)
+
+
+def test_sample_refuses_counts_over_the_cap_before_drawing(monkeypatch):
+    # numpy would fail on these only after trying to allocate the draws
+    def no_draws(seed):
+        raise AssertionError("the count must be refused before any draw")
+
+    p = validate([0.5, 0.5], 1)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for count in (sim.SAMPLES_MAX + 1, 10**14, 10**23):
+        message = f"--samples {count} is over the cap of {sim.SAMPLES_MAX}"
+        with pytest.raises(OverCap, match=message):
+            sample(p, count)
+    with pytest.raises(IqpError, match="--samples must be nonnegative") as info:
+        sample(p, -1)
+    assert type(info.value) is IqpError
+    monkeypatch.undo()
+    monkeypatch.setattr(sim, "SAMPLES_MAX", 8)  # the cap itself is drawn
+    assert len(sample(p, 8)) == 8
+    with pytest.raises(OverCap, match="--samples 9 is over the cap of 8"):
+        sample(p, 9)

@@ -1,6 +1,7 @@
 """Phase-table synthesis, gate lowering, and the circuit file format."""
 
 import math
+import re
 from itertools import accumulate
 from unittest import mock
 
@@ -17,14 +18,7 @@ from iqpsynth.decompose import (
     decompose_2sparse,
     round_to_dyadic,
 )
-from iqpsynth.errors import (
-    DimensionMismatch,
-    FormatError,
-    LengthMismatch,
-    MassOutOfRange,
-    OutcomeOutOfRange,
-    TooManyQubits,
-)
+from iqpsynth.errors import IqpError, OverCap
 from iqpsynth.probdist import format_float, tv_distance, validate
 from iqpsynth.sim import (
     StateVector,
@@ -85,13 +79,13 @@ def test_uma_extreme_masses():
 
 
 def test_uma_validation():
-    with pytest.raises(OutcomeOutOfRange):
+    with pytest.raises(IqpError, match=r"b1=4 outside \[0, 4\)"):
         uma_phases_for_pair(4, 0, 0.5, 2)
-    with pytest.raises(OutcomeOutOfRange):
+    with pytest.raises(IqpError, match=r"b2=-1 outside \[0, 4\)"):
         uma_phases_for_pair(0, -1, 0.5, 2)
-    with pytest.raises(MassOutOfRange):
+    with pytest.raises(IqpError, match=r"mass 1.5 outside \[0, 1\]"):
         uma_phases_for_pair(0, 1, 1.5, 2)
-    with pytest.raises(MassOutOfRange):
+    with pytest.raises(IqpError, match=r"mass nan outside \[0, 1\]"):
         uma_phases_for_pair(0, 1, float("nan"), 2)
     # dust beyond the boundary is clamped, not rejected
     clamped = uma_phases_for_pair(0, 1, 1.0 + 1e-13, 2)
@@ -193,7 +187,7 @@ def test_tables_match_single_row_encoding_bit_for_bit(n, extra, seed):
 
 
 def test_approx_table_needs_power_of_two_labels():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match=r"expected 2\*\*m multiplicity labels, got 3"):
         approx_phase_table(np.array([0, 1, 1]), 1)
     assert approx_phase_table(np.array([0, 1, 1, 1]), 1).m == 2
 
@@ -201,9 +195,9 @@ def test_approx_table_needs_power_of_two_labels():
 def test_phase_table_canonicalizes():
     pt = PhaseTable(0, 1, [2.0 * np.pi, -np.pi])
     assert pt.theta.tolist() == [0.0, np.pi]
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="expected 2 phases, got 3"):
         PhaseTable(0, 1, [0.0, 0.0, 0.0])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="phases must be finite"):
         PhaseTable(0, 1, [np.inf, 0.0])
 
 
@@ -216,23 +210,26 @@ def test_phase_table_leaves_caller_array():
 
 
 def test_gatelist_validation():
-    with pytest.raises(LengthMismatch):  # a zero mask is an empty support
+    outside = r"gate masks must lie in \(0, 2\*\*2\)"
+    shapes = "gate masks and angles must be 1-D and of one length"
+    # a zero mask is an empty support
+    with pytest.raises(IqpError, match="gate supports must be nonempty"):
         GateList(2, 0.0, [0], [0.5])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="duplicate gate support"):
         GateList(2, 0.0, [0b10, 0b01, 0b10], [0.5, 0.25, 0.125])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IqpError, match=outside):
         GateList(2, 0.0, [0b100], [0.5])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IqpError, match=outside):
         GateList(2, 0.0, [-1], [0.5])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IqpError, match="qubit count must be nonnegative"):
         GateList(-1, 0.0, [], [])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="global phase must be finite"):
         GateList(2, float("inf"), [], [])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match="gate angles must be finite"):
         GateList(2, 0.0, [0b01, 0b10], [0.5, float("nan")])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match=shapes):
         GateList(2, 0.0, [0b01, 0b10], [0.5])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IqpError, match=shapes):
         GateList(2, 0.0, [[0b01, 0b10]], [[0.5, 0.25]])
 
 
@@ -331,15 +328,15 @@ def test_walsh_drops_null_rotations():
 
 def test_walsh_qubit_cap(monkeypatch):
     monkeypatch.setenv("IQP_MAX_QUBITS", "3")
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(OverCap, match="lowering needs 4 qubits, cap is 3"):
         walsh_lower(PhaseTable(2, 2, np.zeros(16)))
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(OverCap, match="raising needs 4 qubits, cap is 3"):
         gates_to_phases(GateList(4, 0.0, [], []), 2)
 
 
 def test_gates_to_phases_split_bounds():
     g = GateList(2, 0.0, [], [])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IqpError, match=r"m=3 outside \[0, 2\]"):
         gates_to_phases(g, 3)
 
 
@@ -370,7 +367,7 @@ def test_circuit_file_blocks_are_optional():
     assert only_gates.table is None
     assert np.array_equal(only_gates.gates.masks, g.masks)
     assert np.array_equal(only_gates.gates.angles, g.angles)
-    with pytest.raises(FormatError):
+    with pytest.raises(IqpError, match="nothing to serialize: no table and no gates"):
         serialize_circuit(1, 1)
 
 
@@ -382,40 +379,42 @@ def test_circuit_parser_accepts_comments_and_blanks():
 
 
 def test_circuit_parser_rejects_malformed():
+    pair = "HEADER m=1 n=1\n"
     bad = (
-        "PHASE 00 1.0\n",  # nothing before HEADER
-        "HEADER m=1\n",
-        "HEADER m=1 n=x\n",
-        "HEADER m=-1 n=1\n",
-        "HEADER m=1 n=1\nHEADER m=1 n=1\n",
-        "HEADER m=1 n=1\nPHASE 0 1.0\n",
-        "HEADER m=1 n=1\nPHASE 00 1.0\nPHASE 00 2.0\n",
-        "HEADER m=1 n=1\nPHASE 00 nan\n",
-        "HEADER m=1 n=1\nGLOBALPHASE 1\nGLOBALPHASE 2\n",
-        "HEADER m=1 n=1\nXROT 0.5 q0,q0\n",
-        "HEADER m=1 n=1\nXROT 0.5 q2\n",
-        "HEADER m=1 n=1\nXROT 0.5\n",
-        "HEADER m=1 n=1\nXROT 0.5 r0\n",
-        "HEADER m=1 n=1\nFROBNICATE 12\n",
-        "HEADER m=1 n=1\nPHASE 00\n1.0\n",  # one PHASE line broken in two
-        "HEADER m=1 n=1\nPHASE 0x 1.0\n",
-        "HEADER m=1 n=1\nPHASE 00 inf\n",
-        "HEADER m=1 n=1\nPHASE 00 1.0.0\n",
-        "HEADER m=1 n=1\nPHASE 00 1.0 PHASE 01 2.0\n",
-        "HEADER m=0 n=0\nPHASE 1.0\nPHASE 2.0\n",
-        "HEADER m=0 n=0\nPHASE 0 1.0\n",
-        "HEADER m=1 n=1\nXROT 0.5 q1,q0\n",
-        "HEADER m=1 n=1\nXROT 0.5 q0\nXROT 0.25 q0\n",
-        "HEADER m=1 n=1\nXROT inf q0\n",
-        "HEADER m=1 n=1\nXROT 0.5 q0,\n",
+        ("PHASE 00 1.0\n", "line 1: expected HEADER, got 'PHASE'"),  # nothing before HEADER
+        ("HEADER m=1\n", "line 1: HEADER takes m=<int> n=<int>"),
+        ("HEADER m=1 n=x\n", "line 1: n must be an integer"),
+        ("HEADER m=-1 n=1\n", "line 1: HEADER needs m>=0 and n>=0"),
+        (pair + "HEADER m=1 n=1\n", "line 2: duplicate HEADER"),
+        (pair + "PHASE 0 1.0\n", "line 2: bitstring '0' is not 2 bits"),
+        (pair + "PHASE 00 1.0\nPHASE 00 2.0\n", "line 3: duplicate PHASE for '00'"),
+        (pair + "PHASE 00 nan\n", "line 2: angle must be finite"),
+        (pair + "GLOBALPHASE 1\nGLOBALPHASE 2\n", "line 3: duplicate GLOBALPHASE"),
+        (pair + "XROT 0.5 q0,q0\n", "line 2: qubits must be ascending distinct"),
+        (pair + "XROT 0.5 q2\n", "line 2: qubit q2 outside header"),
+        (pair + "XROT 0.5\n", "line 2: XROT takes an angle and qubits"),
+        (pair + "XROT 0.5 r0\n", "line 2: bad qubit token 'r0'"),
+        (pair + "FROBNICATE 12\n", "line 2: unknown keyword 'FROBNICATE'"),
+        # one PHASE line broken in two
+        (pair + "PHASE 00\n1.0\n", "line 2: PHASE takes a bitstring and angle"),
+        (pair + "PHASE 0x 1.0\n", "line 2: bitstring '0x' is not 2 bits"),
+        (pair + "PHASE 00 inf\n", "line 2: angle must be finite"),
+        (pair + "PHASE 00 1.0.0\n", "line 2: bad angle '1.0.0'"),
+        (pair + "PHASE 00 1.0 PHASE 01 2.0\n", "line 2: PHASE takes a bitstring and angle"),
+        ("HEADER m=0 n=0\nPHASE 1.0\nPHASE 2.0\n", "line 3: duplicate PHASE"),
+        ("HEADER m=0 n=0\nPHASE 0 1.0\n", "line 2: PHASE takes an angle"),
+        (pair + "XROT 0.5 q1,q0\n", "line 2: qubits must be ascending distinct"),
+        (pair + "XROT 0.5 q0\nXROT 0.25 q0\n", "line 3: duplicate XROT support"),
+        (pair + "XROT inf q0\n", "line 2: angle must be finite"),
+        (pair + "XROT 0.5 q0,\n", "line 2: bad qubit token ''"),
     )
-    for text in bad:
-        with pytest.raises(FormatError):
+    for text, message in bad:
+        with pytest.raises(IqpError, match=re.escape(message)):
             parse_circuit(text)
 
 
 def test_circuit_parser_reports_line_numbers():
-    with pytest.raises(FormatError, match="line 3"):
+    with pytest.raises(IqpError, match="line 3"):
         parse_circuit("HEADER m=1 n=1\nPHASE 00 0.5\nPHASE 00 0.7\n")
 
 
@@ -437,7 +436,7 @@ def big_circuit_lines(keyword="PHASE"):
 
 
 def parse_error(lines):
-    with pytest.raises(FormatError) as info:
+    with pytest.raises(IqpError) as info:
         parse_circuit("".join(lines))
     return str(info.value)
 
@@ -474,7 +473,7 @@ def parsed(text):
     """A parse's phases or gates as bytes, to compare bit for bit, or its error."""
     try:
         circ = parse_circuit(text)
-    except FormatError as exc:
+    except IqpError as exc:
         return str(exc)
     if circ.table is not None:
         return circ.table.theta.tobytes()
