@@ -15,14 +15,13 @@ of 2**m outcome labels in which outcome j appears q_j * 2**m times
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import IqpError
-from .probdist import CLAMP_TOL, ProbVector, sort_with_permutation
+from .probdist import CLAMP_TOL, ProbVector, _fsum, sort_with_permutation
 
 # Residual row capacity below SNAP is treated as spent during allocation;
 # without it, float dust can manufacture a spurious fourth entry in a row.
@@ -34,10 +33,10 @@ DYADIC_GUARD = 1e-9
 
 
 def _fsum_rows(vals: NDArray[np.float64]) -> NDArray[np.float64]:
-    """math.fsum of each row of a 2-D array."""
+    """math.fsum of each row of a 2-D array, inf where a row passes the float range."""
     if vals.shape[1] <= 2:  # one addition rounds once, as fsum does
         return vals.sum(axis=1)
-    return np.array([math.fsum(row) for row in vals.tolist()])
+    return np.array([_fsum(row) for row in vals.tolist()])
 
 
 def _freeze_rows(holder, vals_name: str, size: int, what: str):

@@ -129,6 +129,8 @@ def validate(raw, n: int) -> ProbVector:
         If raw does not have exactly 2**n entries, if any entry is below
         -1e-12 or not finite, or if the sum is off 1 by more than 1e-9.
     """
+    if n < 0:
+        raise IqpError(f"bit count must be nonnegative, got {n}")
     arr = np.array(raw, dtype=np.float64, copy=True)
     if arr.ndim != 1 or arr.shape[0] != 1 << n:
         raise IqpError(f"expected {1 << n} entries for n={n}, got shape {arr.shape}")

@@ -42,7 +42,7 @@ import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import product
 
 import numpy as np
 from numpy.typing import NDArray
@@ -187,7 +187,10 @@ class GateList:
             raise IqpError("qubit count must be nonnegative")
         if not math.isfinite(self.global_phase):
             raise IqpError("global phase must be finite")
-        masks = np.array(self.masks, dtype=np.int64)
+        try:
+            masks = np.array(self.masks, dtype=np.int64)
+        except OverflowError:
+            raise IqpError(f"gate masks must lie in (0, 2**{self.total_qubits})") from None
         angles = np.asarray(self.angles, dtype=np.float64)
         if masks.ndim != 1 or masks.shape != angles.shape:
             raise IqpError("gate masks and angles must be 1-D and of one length")
@@ -195,7 +198,7 @@ class GateList:
             raise IqpError("gate supports must be nonempty")
         if masks.size and (masks.min() < 0 or int(masks.max()) >> self.total_qubits):
             raise IqpError(f"gate masks must lie in (0, 2**{self.total_qubits})")
-        if np.unique(masks).size != masks.size:
+        if (np.diff(np.sort(masks)) == 0).any():
             raise IqpError("duplicate gate support")
         if not np.all(np.isfinite(angles)):
             raise IqpError("gate angles must be finite")
@@ -275,18 +278,9 @@ def serialize_circuit(
     if mode is not None:
         lines.append(f"# mode: {mode}")
     lines.append(f"HEADER m={m} n={n}")
-    if gates is not None:
-        lines.append(f"GLOBALPHASE {format_float(gates.global_phase)}")
-        names = [f"q{q}" for q in range(m + n)]
-        for start in range(0, len(gates), _CHUNK_ROWS):
-            block = slice(start, start + _CHUNK_ROWS)
-            bits = (gates.masks[block, None] >> np.arange(m + n - 1, -1, -1)) & 1
-            for angle, row in zip(gates.angles[block].tolist(), bits.tolist()):
-                lines.append(f"XROT {format_float(angle)} {','.join(compress(names, row))}")
-    head = "\n".join(lines) + "\n"
-    if table is None:
-        return head
-    return "".join([head, *_phase_blocks(table.theta, m + n)])
+    xrots = () if gates is None else _xrot_blocks(gates)
+    phases = () if table is None else _phase_blocks(table.theta, m + n)
+    return "".join(["\n".join(lines) + "\n", *xrots, *phases])
 
 
 # Circuit text is written and read a bounded block at a time: PHASE lines
@@ -320,6 +314,33 @@ def _phase_blocks(theta: NDArray[np.float64], total: int) -> Iterator[str]:
         yield "".join(pieces)
 
 
+def _xrot_blocks(gates: GateList) -> Iterator[str]:
+    """The GLOBALPHASE line and then the XROT lines of a gate list, in blocks.
+
+    Each distinct angle of a block is formatted once.  Each field of a mask
+    (its halves; at most 12 bits past 24 qubits) indexes the names of every
+    subset of its qubits, after a comma when a higher field names a qubit.
+    """
+    yield f"GLOBALPHASE {format_float(gates.global_phase)}\n"
+    total = gates.total_qubits
+    count = max(2, -(-total // 12))
+    cuts = [total * i // count for i in range(count + 1)]
+    fields = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        names = ["".join(p) for p in product(*[("", f",q{q}") for q in range(lo, hi)])]
+        names = [text + "\n" * (hi == total) for text in names + [t[1:] for t in names]]
+        fields.append((np.array(names, object), total - hi, hi - lo))
+    splits = range(_CHUNK_ROWS, len(gates), _CHUNK_ROWS)
+    for masks, angles in zip(np.split(gates.masks, splits), np.split(gates.angles, splits)):
+        angles, inverse = np.unique(angles, return_inverse=True)
+        heads = np.array([f"XROT {format_float(a)} " for a in angles.tolist()], object)
+        columns = [heads[inverse]]
+        for table, shift, width in fields:
+            bare = (masks >> (shift + width) == 0) << width
+            columns.append(table[((masks >> shift) & ((1 << width) - 1)) + bare])
+        yield "".join(np.stack(columns, axis=1).ravel().tolist())
+
+
 def _chunks(text: str) -> Iterator[str]:
     """Consecutive slices of text, each ending at a newline, except the last.
 
@@ -341,8 +362,6 @@ def _chunks(text: str) -> Iterator[str]:
 
 # Line breaks that str.splitlines honours besides "\n".
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_QUBIT = re.compile(r"q\d+")
-_QUBIT_LIST = re.compile(r"q\d+(?:,q\d+)*")
 _MODE_NOTE = re.compile(r"^mode:\s*(\S+)$")
 
 
@@ -365,6 +384,51 @@ def _angle_values(tokens: Sequence[str]) -> tuple[NDArray[np.float64], tuple[int
     i = int(nonfinite[0])
     message = f"bad angle {tokens[i]!r}" if tokens[i] in unparsed else "angle must be finite"
     return values, (i, message)
+
+
+def _qubit_masks(
+    lists: Sequence[str], total: int
+) -> tuple[NDArray[np.int64], tuple[int, str] | None]:
+    """Masks of qubit lists such as "q0,q2", plus the first list that is not one.
+
+    The lists are read as one byte buffer.  The masks cover the lists before the
+    first bad one, whose (index, message) is formed from its text alone.
+    """
+    # a newline before each list and after the last; "?" for each non-ASCII character
+    buffer = np.frombuffer("\n".join(["", *lists, ""]).encode("ascii", "replace"), np.uint8)
+    digit, lead = buffer - ord("0") < 10, buffer == ord("q")  # below "0" wraps past 9
+    sep = (buffer == ord(",")) | (buffer == ord("\n"))
+    # q[0-9]+(,q[0-9]+)*: a q at each token start and nowhere else, a digit after each q
+    bad = (sep[:-1] != lead[1:]) | (lead[:-1] & ~digit[1:]) | ~(digit | lead | sep)[1:]
+    code, digit, lead, sep = buffer[1:], digit[1:], lead[1:], sep[1:]
+    starts = np.flatnonzero(buffer == ord("\n"))  # of each list in code, then its end
+    count, error = len(lists), None
+    if bad.any():  # the token that holds, or ends at, the first bad byte
+        count = int(np.searchsorted(starts, bad.argmax(), "right")) - 1
+        listed, offset = lists[count], bad.argmax() - starts[count]
+        error = count, f"bad qubit token {listed.split(',')[listed.count(',', 0, offset)]!r}"
+    # each index from its last two digits; a nonzero digit before them puts it
+    # past 99, outside any header (at most DENSE_MAX_QUBITS qubits)
+    stop = starts[count]
+    seps, firsts = np.flatnonzero(sep[:stop]), np.flatnonzero(lead[:stop])
+    tens = np.where(seps - firsts > 2, code[seps - 2] - ord("0"), 0)
+    q = (code[seps - 1] - ord("0") + 10 * tens).astype(np.int64)
+    long = np.flatnonzero(seps - firsts > 3)
+    if long.size:
+        nonzero = np.cumsum(digit[:stop] & (code[:stop] != ord("0")))
+        q[long[nonzero[seps[long] - 3] > nonzero[firsts[long]]]] = 100
+    bounds = np.searchsorted(seps, starts[: count + 1])  # each list's first token, then the end
+    wrong = q >= total
+    wrong[:-1] |= (q[1:] <= q[:-1]) & (code[seps[:-1]] == ord(","))
+    if wrong.any():  # digit strings compared by length first: int() refuses long ones
+        count = int(np.searchsorted(bounds, wrong.argmax(), "right")) - 1
+        keys = [(len(d), d) for d in (p[1:].lstrip("0") or "0" for p in lists[count].split(","))]
+        if all(a < b for a, b in zip(keys, keys[1:])):
+            error = count, f"qubit q{keys[-1][1]} outside header"
+        else:
+            error = count, "qubits must be ascending distinct"
+    ones = np.left_shift(1, total - 1 - q[: bounds[count]])
+    return np.bitwise_or.reduceat(ones, bounds[:count]), error
 
 
 def _first_duplicate(keys: NDArray[np.int64], seen: NDArray[np.bool_]) -> int | None:
@@ -540,41 +604,16 @@ class _CircuitReader:
 
         qubits holds each line's qubit list with the spaces taken out.
         """
-        total = self.total
         if self.xrot_seen is None:
-            self.xrot_seen = np.zeros(1 << total, dtype=bool)
+            self.xrot_seen = np.zeros(1 << self.total, dtype=bool)
         values, bad_angle = _angle_values(angles)
         limit, error = bad_angle or (len(at), None)
-        listed = ",".join(qubits[:limit])
-        if limit and not _QUBIT_LIST.fullmatch(listed):
-            for i, parts in enumerate(qubits[:limit]):
-                part = next((p for p in parts.split(",") if not _QUBIT.fullmatch(p)), None)
-                if part is not None:
-                    limit, error = i, f"bad qubit token {part!r}"
-                    listed = ",".join(qubits[:limit])
-                    break
-        if not limit:
-            return at[0], error
-        # an index past int64 makes an object array, which compares the same
-        q = np.array(list(map(int, listed.replace("q", "").split(","))))
-        counts = np.array([parts.count(",") + 1 for parts in qubits[:limit]])
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        line_of = np.repeat(np.arange(limit), counts)
-        unordered = line_of[1:][(q[1:] <= q[:-1]) & (line_of[1:] == line_of[:-1])]
-        if unordered.size:
-            limit, error = int(unordered[0]), "qubits must be ascending distinct"
-        tops = q[ends[:limit] - 1]
-        outside = np.flatnonzero(tops >= total)
-        if outside.size:
-            limit = int(outside[0])
-            error = f"qubit q{int(tops[limit])} outside header"
-        if limit:
-            bits = np.left_shift(1, total - 1 - q[: ends[limit - 1]].astype(np.int64))
-            masks = np.bitwise_or.reduceat(bits, starts[:limit])
-            duplicate = _first_duplicate(masks, self.xrot_seen)
-            if duplicate is not None:
-                limit, error = duplicate, "duplicate XROT support"
+        masks, bad_list = _qubit_masks(qubits[:limit], self.total)
+        if bad_list is not None:
+            limit, error = bad_list
+        duplicate = _first_duplicate(masks, self.xrot_seen)
+        if duplicate is not None:
+            limit, error = duplicate, "duplicate XROT support"
         if error is not None:
             return at[limit], error
         self.xrot_seen[masks] = True

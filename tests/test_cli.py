@@ -618,6 +618,9 @@ REFUSALS = [
              "line 2: bad angle 'x'"),
     _refusal("qubit-token", "simulate in", HEADER_1 + "XROT 0.5 p0\n", 2,
              "line 2: bad qubit token 'p0'"),
+    _refusal("qubit-non-ascii-digit", "simulate in",
+             (HEADER_1 + "XROT 0.5 q\u0661\n").encode(), 2,
+             "line 2: bad qubit token 'q\u0661'"),
     _refusal("qubit-order", "simulate in", "HEADER m=0 n=2\nXROT 0.5 q1,q0\n", 2,
              "line 2: qubits must be ascending distinct"),
     _refusal("qubit-outside", "simulate in", HEADER_1 + "XROT 0.5 q3\n", 2,

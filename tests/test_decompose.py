@@ -177,6 +177,12 @@ def test_mixture_rejects_bad_components():
             Mixture(2, cols, masses)
 
 
+def test_mixture_sum_past_the_float_range_is_refused():
+    # math.fsum raises OverflowError on this row; its sum reads as inf instead
+    with pytest.raises(IqpError, match="component 0 masses sum to inf, expected 1"):
+        Mixture(2, [[0, 1, 2]], [[1e308] * 3])
+
+
 def test_split_rejects_wide_input():
     with pytest.raises(IqpError, match="component 0: entries must be distinct and ascending"):
         # Mixture itself rejects repeated outcomes

@@ -53,6 +53,8 @@ def test_validate_errors():
         validate([np.nan, 1.0], 1)
     with pytest.raises(IqpError, match="entries must be finite"):
         validate([np.inf, 1.0], 1)
+    with pytest.raises(IqpError, match="bit count must be nonnegative, got -1"):
+        validate([1.0], -1)
 
 
 def test_sum_past_the_float_range_is_refused():

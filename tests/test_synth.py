@@ -233,6 +233,12 @@ def test_gatelist_validation():
         GateList(2, 0.0, [[0b01, 0b10]], [[0.5, 0.25]])
 
 
+def test_gate_masks_past_int64_are_refused():
+    # masks are int64: a wider support is a bad gate list, not an OverflowError
+    with pytest.raises(IqpError, match=r"gate masks must lie in \(0, 2\*\*70\)"):
+        GateList(70, 0.0, [2**65], [0.5])
+
+
 def test_array_dataclasses_compare_by_identity():
     # a field-wise == over arrays would raise; these compare as objects
     p = validate([0.1, 0.1, 0.3, 0.5], 2)
@@ -358,6 +364,36 @@ def test_circuit_file_round_trip(m, n, seed):
     assert circ.gates.global_phase == g.global_phase
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_gate_lines_match_a_per_gate_writer(data):
+    total = data.draw(st.sampled_from([*range(1, 25), 37, 63]))
+    m = data.draw(st.integers(0, total))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    count = min(data.draw(st.integers(1, 600)), (1 << total) - 1)
+    masks = np.unique(rng.integers(1, (1 << total) - 1, count, np.int64, endpoint=True))
+    pool = np.array([np.pi, -np.pi / 2, 5e-324, 1e-12, 0.5, -2.0])
+    angles = np.where(
+        rng.random(masks.size) < 0.5,
+        pool[rng.integers(0, pool.size, masks.size)],
+        rng.uniform(-4.0, 4.0, masks.size),
+    )
+    g = GateList(total, float(rng.normal()), rng.permutation(masks), angles)
+    # several blocks of lines per gate list
+    with mock.patch.object(synth, "_CHUNK_ROWS", data.draw(st.integers(1, 300))):
+        text = serialize_circuit(m, total - m, gates=g)
+    reference = [f"HEADER m={m} n={total - m}", f"GLOBALPHASE {g.global_phase:.17g}"]
+    for mask, angle in zip(g.masks.tolist(), g.angles.tolist()):
+        support = [f"q{q}" for q in range(total) if mask >> (total - 1 - q) & 1]
+        reference.append(f"XROT {angle:.17g} {','.join(support)}")
+    assert text.splitlines() == reference and text.endswith("\n")
+    if total <= 24:
+        back = parse_circuit(text).gates
+        assert back.masks.tobytes() == g.masks.tobytes()
+        assert back.angles.tobytes() == g.angles.tobytes()
+        assert back.global_phase == g.global_phase
+
+
 def test_circuit_file_blocks_are_optional():
     pt = PhaseTable(1, 1, [0.0, 0.5, 1.0, 1.5])
     only_table = round_trip(1, 1, table=pt)
@@ -407,6 +443,11 @@ def test_circuit_parser_rejects_malformed():
         (pair + "XROT 0.5 q0\nXROT 0.25 q0\n", "line 3: duplicate XROT support"),
         (pair + "XROT inf q0\n", "line 2: angle must be finite"),
         (pair + "XROT 0.5 q0,\n", "line 2: bad qubit token ''"),
+        (pair + "XROT 0.5 q\u0661\n", "line 2: bad qubit token 'q\u0661'"),
+        (pair + "XROT 0.5 q,q1\n", "line 2: bad qubit token 'q'"),
+        # the masks of good lines take no qubit from the bad line after them
+        ("HEADER m=0 n=2\nXROT 0.5 q0,q1\nXROT 0.5 q1\nXROT 0.5 q0,q2\n",
+         "line 4: qubit q2 outside header"),
     )
     for text, message in bad:
         with pytest.raises(IqpError, match=re.escape(message)):
@@ -552,6 +593,72 @@ def test_plain_blocks_read_as_lines_do(keyword):
     ]
     for variant, line, message in errors:
         assert parsed(variant) == parsed_by_lines(variant) == f"line {line}: {message}"
+
+
+def test_xrot_faults_read_as_lines_do():
+    lines = big_circuit_lines("XROT")
+    canonical = parsed("".join(lines))
+    first = next(i for i, line in enumerate(lines) if line.startswith("XROT "))
+    last = len(lines) - 1
+    for i in (first, (first + last) // 2, last):
+        _, angle, qubits = lines[i].split()
+        other = first if i > first else last
+
+        def edit(qubit_list, at=i, angle=angle):
+            return "".join([*lines[:at], f"XROT {angle} {qubit_list}\n", *lines[at + 1 :]])
+
+        # leading zeros and spaces in a list read as they always have
+        assert parsed(edit(",".join("q00" + q[1:] for q in qubits.split(",")))) == canonical
+        assert parsed(edit(qubits.replace(",", ", "))) == canonical
+        errors = [
+            (edit(qubits + ",x2"), i, "bad qubit token 'x2'"),
+            (edit(qubits + ",q\u0663"), i, "bad qubit token 'q\u0663'"),
+            (edit("q1,q0"), i, "qubits must be ascending distinct"),
+            (edit(qubits + ",q14"), i, "qubit q14 outside header"),
+            (edit(qubits + ",q0014"), i, "qubit q14 outside header"),
+            (edit(lines[other].split()[2]), max(i, other), "duplicate XROT support"),
+            (edit(qubits + ",x2", angle="1.0.0"), i, "bad angle '1.0.0'"),
+        ]
+        for variant, line, message in errors:
+            assert parsed(variant) == parsed_by_lines(variant) == f"line {line + 1}: {message}"
+
+
+def masks_by_lines(lists, total):
+    """What _qubit_masks returns, one list and one token at a time."""
+    masks = []
+    for i, listed in enumerate(lists):
+        parts = listed.split(",")
+        bad = next((p for p in parts if not re.fullmatch("q[0-9]+", p)), None)
+        if bad is not None:
+            return masks, (i, f"bad qubit token {bad!r}")
+        q = [int(p[1:]) for p in parts]
+        if any(b <= a for a, b in zip(q, q[1:])):
+            return masks, (i, "qubits must be ascending distinct")
+        if q[-1] >= total:
+            return masks, (i, f"qubit q{q[-1]} outside header")
+        masks.append(sum(1 << (total - 1 - x) for x in q))
+    return masks, None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 24), st.data())
+def test_qubit_lists_read_as_one_buffer_match_a_line_reader(total, data):
+    index = st.integers(0, total + 1)
+    far = st.sampled_from([99, 100, 123, 10**20])
+    lists = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        size = data.draw(st.integers(1, 5))
+        q = [data.draw(index if data.draw(st.integers(0, 9)) else far) for _ in range(size)]
+        if data.draw(st.integers(0, 3)):
+            q.sort()
+        tokens = [f"q{data.draw(st.sampled_from(['', '', '0', '00']))}{i}" for i in q]
+        if not data.draw(st.integers(0, 5)):  # a garbled token
+            at = data.draw(st.integers(0, size - 1))
+            odd = st.sampled_from(["", "q", "x1", "1", "qq1", "q1q", "q\u0661", "q-1", "q 1"])
+            tokens[at] = data.draw(odd | st.text("q019x,\u0661", max_size=4))
+        lists.append(",".join(tokens))
+    masks, error = synth._qubit_masks(lists, total)
+    assert (masks.tolist(), error) == masks_by_lines(lists, total)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
