@@ -24,6 +24,17 @@ ENV_MAX_QUBITS = "IQP_MAX_QUBITS"
 DENSE_MAX_QUBITS = 24
 
 
+# Array lengths are int64, so no array has 2**63 entries or more.
+INDEX_MAX_BITS = 62
+
+
+def dense_size(bits: int) -> int:
+    """2**bits, an array length; IqpError, before 2**bits is formed, if none can be."""
+    if not 0 <= bits <= INDEX_MAX_BITS:
+        raise IqpError(f"bit count {bits} outside [0, {INDEX_MAX_BITS}]")
+    return 1 << bits
+
+
 def qubit_cap(default: int) -> int:
     """Hard qubit cap for an operation, optionally lowered via IQP_MAX_QUBITS."""
     raw = os.environ.get(ENV_MAX_QUBITS)
@@ -43,10 +54,9 @@ def enforce_cap(qubits: int, default: int, what: str) -> None:
         raise OverCap(f"{what} needs {qubits} qubits, cap is {cap}")
 
 
-def parity(values: np.ndarray | int) -> np.ndarray | int:
+def parity(values: np.ndarray) -> np.ndarray:
     """Bit parity (popcount mod 2) of nonnegative integers, elementwise."""
-    out = (np.bitwise_count(np.asarray(values, dtype=np.uint64)) & 1).astype(np.int64)
-    return int(out) if np.isscalar(values) or out.ndim == 0 else out
+    return (np.bitwise_count(np.asarray(values, dtype=np.uint64)) & 1).astype(np.int64)
 
 
 def bit_keys(bits: Sequence[str], width: int) -> tuple[np.ndarray, int]:
@@ -87,20 +97,13 @@ def wht_inplace(a: np.ndarray) -> np.ndarray:
     return a.reshape(shape)
 
 
-def canonical_phase(theta: np.ndarray | float) -> np.ndarray | float:
+def canonical_phase(theta: np.ndarray) -> np.ndarray:
     """Reduce phases into [0, 2*pi)."""
     out = np.mod(theta, TAU)
-    out = np.where(out == TAU, 0.0, out)
-    if np.ndim(theta) == 0:
-        return float(out)
-    return out
+    return np.where(out == TAU, 0.0, out)
 
 
-def canonical_angle(angle: np.ndarray | float) -> np.ndarray | float:
+def canonical_angle(angle: np.ndarray) -> np.ndarray:
     """Reduce rotation angles into (-pi, pi]."""
     r = np.mod(np.pi - np.asarray(angle, dtype=np.float64), TAU)
-    r = np.where(r == TAU, 0.0, r)
-    out = np.pi - r
-    if np.ndim(angle) == 0:
-        return float(out)
-    return out
+    return np.pi - np.where(r == TAU, 0.0, r)

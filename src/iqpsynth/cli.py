@@ -30,7 +30,7 @@ from .decompose import (
     rows_to_dists,
 )
 from .errors import InternalError, IqpError
-from .probdist import ProbVector, format_float, parse_dist, tv_distance
+from .probdist import format_float, parse_dist, tv_distance
 from .sim import DEFAULT_SEED, check_sample_count, marginal_full, marginal_mixture, sample
 from .synth import (
     ParsedCircuit,
@@ -82,14 +82,6 @@ def _read_text(path: str) -> str:
             raise IqpError(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
-def _read_dist(path: str) -> ProbVector:
-    return parse_dist(_read_text(path))
-
-
-def _read_circuit(path: str) -> ParsedCircuit:
-    return parse_circuit(_read_text(path))
-
-
 def _table_of(circ: ParsedCircuit) -> PhaseTable:
     if circ.table is not None:
         return circ.table
@@ -107,7 +99,7 @@ def _looks_parity(table: PhaseTable) -> bool:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    p = _read_dist(args.input)
+    p = parse_dist(_read_text(args.input))
     if args.mode == "exact":
         if args.m is not None:
             raise IqpError("--m is fixed at n+1 in exact mode; drop the flag")
@@ -142,8 +134,8 @@ def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.tolerance is not None and not args.tolerance >= 0:
         raise IqpError("--tolerance must be a nonnegative number")
     t0 = time.perf_counter()
-    circ = _read_circuit(args.circuit)
-    target = _read_dist(args.dist)
+    circ = parse_circuit(_read_text(args.circuit))
+    target = parse_dist(_read_text(args.dist))
     if target.n != circ.n:
         raise IqpError(f"distribution is over {target.n} bits, circuit header says {circ.n}")
     t1 = time.perf_counter()
@@ -194,7 +186,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check_sample_count(args.samples)
     if args.seed < 0:
         raise IqpError("--seed must be nonnegative")
-    circ = _read_circuit(args.circuit)
+    circ = parse_circuit(_read_text(args.circuit))
     marginal = marginal_mixture(_table_of(circ))
     lines = [
         f"{marginal.bitstring(j)} {format_float(float(marginal.probs[j]))}"
@@ -207,7 +199,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    p = _read_dist(args.input)
+    p = parse_dist(_read_text(args.input))
     if args.sparsity == 3:
         parts = rows_to_dists(allocate_3sparse(p))
     else:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import IqpError
+from ._bits import dense_size
+from .errors import InternalError, IqpError
 from .probdist import CLAMP_TOL, ProbVector, _fsum, sort_with_permutation
 
 # Residual row capacity below SNAP is treated as spent during allocation;
@@ -39,38 +40,14 @@ def _fsum_rows(vals: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.array([_fsum(row) for row in vals.tolist()])
 
 
-def _freeze_rows(holder, vals_name: str, size: int, what: str):
-    """Replace a holder's cols and values by checked, read-only arrays.
-
-    Filled slots (cols >= 0) come first in each row, ascending and distinct
-    within [0, size), with positive values; empty slots hold -1 and 0.0.
-    Anything else raises IqpError naming the first bad row.
-    """
-    cols = np.array(holder.cols, dtype=np.int64)
-    vals = np.array(getattr(holder, vals_name), dtype=np.float64)
-    if cols.ndim != 2 or cols.shape != vals.shape:
-        raise IqpError(f"{what} columns and values must be 2-D arrays of one shape")
-    filled = cols >= 0
-    for message, bad in (
-        ("entries must be distinct and ascending",
-         filled[:, 1:] & ~(filled[:, :-1] & (cols[:, 1:] > cols[:, :-1]))),
-        (f"entries must lie in [0, {size})", (cols < -1) | (cols >= size)),
-        ("values must be positive", np.where(filled, ~(vals > 0.0), vals != 0.0)),
-    ):
-        if bad.any():
-            raise IqpError(f"{what} {bad.any(axis=1).argmax()}: {message}")
-    cols.flags.writeable = vals.flags.writeable = False
-    object.__setattr__(holder, "cols", cols)
-    object.__setattr__(holder, vals_name, vals)
-
-
 @dataclass(frozen=True, eq=False)
 class Mixture:
     """Uniform mixture of len(self) sparse distributions over n bits.
 
     Component k puts masses[k, t] on outcome cols[k, t] for each filled
-    slot t of the padded (K, s) arrays, laid out as _freeze_rows checks.
-    Each component's masses sum to 1 within 1e-12, so none is empty.
+    slot t of the read-only, padded (K, s) arrays.  Filled slots (cols >= 0)
+    come first, ascending and distinct within [0, 2**n), with positive
+    masses summing to 1 within 1e-12; empty slots hold -1 and 0.0.
     """
 
     n: int
@@ -78,12 +55,31 @@ class Mixture:
     masses: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        _freeze_rows(self, "masses", 1 << self.n, "component")
-        totals = _fsum_rows(self.masses)
+        size = dense_size(self.n)
+        try:
+            cols = np.array(self.cols, dtype=np.int64)
+        except OverflowError:
+            raise IqpError(f"component entries must lie in [0, {size})") from None
+        masses = np.array(self.masses, dtype=np.float64)
+        if cols.ndim != 2 or cols.shape != masses.shape:
+            raise IqpError("component columns and values must be 2-D arrays of one shape")
+        filled = cols >= 0
+        for message, bad in (
+            ("entries must be distinct and ascending",
+             filled[:, 1:] & ~(filled[:, :-1] & (cols[:, 1:] > cols[:, :-1]))),
+            (f"entries must lie in [0, {size})", (cols < -1) | (cols >= size)),
+            ("values must be positive", np.where(filled, ~(masses > 0.0), masses != 0.0)),
+        ):
+            if bad.any():
+                raise IqpError(f"component {bad.any(axis=1).argmax()}: {message}")
+        totals = _fsum_rows(masses)
         off = np.abs(totals - 1.0) > 1e-12
         if off.any():
             k = off.argmax()
             raise IqpError(f"component {k} masses sum to {float(totals[k])!r}, expected 1")
+        cols.flags.writeable = masses.flags.writeable = False
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "masses", masses)
 
     def __len__(self) -> int:
         return self.cols.shape[0]
@@ -94,45 +90,11 @@ class Mixture:
         return np.count_nonzero(self.cols >= 0, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class AllocationMatrix:
-    """N x N nonnegative matrix with row sums 1/N and column sums p.
-
-    Row i holds vals[i, t] in column cols[i, t] for each filled slot t of
-    padded (N, s) arrays laid out as _freeze_rows checks; at most 3 a row.
-    """
-
-    N: int
-    cols: NDArray[np.int64]
-    vals: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        _freeze_rows(self, "vals", self.N, "row")
-        if self.cols.shape[0] != self.N:
-            raise IqpError(f"expected {self.N} rows, got {self.cols.shape[0]}")
-        wide = np.count_nonzero(self.cols >= 0, axis=1) > 3
-        if wide.any():
-            raise IqpError(f"row {wide.argmax()} has more than 3 entries")
-
-    def row_sums(self) -> NDArray[np.float64]:
-        return _fsum_rows(self.vals)
-
-    def column_sums(self) -> NDArray[np.float64]:
-        filled = self.cols >= 0
-        return np.bincount(self.cols[filled], self.vals[filled], minlength=self.N)
-
-    def verify_against(self, p: ProbVector, tol: float = 1e-12) -> None:
-        """Check row sums and column sums against p; raise on the first violation."""
-        if 1 << p.n != self.N:
-            raise IqpError(f"matrix is {self.N}x{self.N}, p has {1 << p.n}")
-        if np.abs(self.row_sums() - 1.0 / self.N).max() > tol:
-            raise IqpError(f"row sums deviate from 1/{self.N} beyond {tol}")
-        if np.abs(self.column_sums() - p.probs).max() > tol:
-            raise IqpError(f"column sums deviate from p beyond {tol}")
-
-
-def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
+def allocate_3sparse(p: ProbVector) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
     """Allocate p into N rows of mass 1/N, each touching at most 3 outcomes.
+
+    Returns the N x N matrix with row sums 1/N and column sums p as padded
+    (N, 3) arrays (cols, vals), laid out as Mixture's (cols, masses).
 
     Sorts outcomes by ascending mass.  Rows aligned with below-average
     outcomes take that outcome's full mass on the diagonal, then top up
@@ -165,7 +127,7 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
             take = min(capacity[i], remaining)
             if take > SNAP:
                 if width[i] == 3:
-                    raise IqpError(f"row {i} exceeded 3 entries during allocation")
+                    raise InternalError(f"row {i} exceeded 3 entries during allocation")
                 pours.append((i, width[i], c, take))
                 width[i] += 1
                 capacity[i] -= take
@@ -196,12 +158,13 @@ def allocate_3sparse(p: ProbVector) -> AllocationMatrix:
     at = np.arange(N)[:, None]
     labels = labels[at, order]
     labels[labels == N] = -1
-    return AllocationMatrix(N, labels, svals[at, order])
+    return labels, svals[at, order]
 
 
-def rows_to_dists(q: AllocationMatrix) -> Mixture:
-    """Rescale each allocation row by N into a distribution over n bits."""
-    return Mixture(q.N.bit_length() - 1, q.cols, q.vals * q.N)
+def rows_to_dists(rows: tuple[NDArray[np.int64], NDArray[np.float64]]) -> Mixture:
+    """Rescale each of the N rows of allocate_3sparse by N into a distribution."""
+    cols, vals = rows
+    return Mixture(len(cols).bit_length() - 1, cols, vals * len(cols))
 
 
 def split_3_to_2(rows: Mixture) -> Mixture:
@@ -254,7 +217,7 @@ def round_to_dyadic(p: ProbVector, m: int) -> ProbVector:
     n = p.n
     if m < 0:
         raise IqpError(f"grid resolution must be nonnegative, got m={m}")
-    scale = float(1 << m)
+    scale = float(dense_size(m))
     scaled = p.probs * scale  # exact: multiplication by a power of 2
     counts = np.floor(scaled).astype(np.int64)
     frac = scaled - counts
@@ -278,7 +241,7 @@ def build_multiplicity_map(q: ProbVector, m: int) -> NDArray[np.int64]:
     """
     if m < 0:
         raise IqpError(f"grid resolution must be nonnegative, got m={m}")
-    scale = float(1 << m)
+    scale = float(dense_size(m))
     counts = np.rint(q.probs * scale).astype(np.int64)
     if not np.array_equal(counts / scale, q.probs):
         raise IqpError("q is not exactly dyadic at resolution m")

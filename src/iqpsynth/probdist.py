@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, bit_keys, enforce_cap
+from ._bits import DENSE_MAX_QUBITS, bit_keys, dense_size, enforce_cap
 from .errors import IqpError
 
 # Input sums are accepted within NORM_TOL of 1 and then renormalized exactly;
@@ -85,10 +85,9 @@ class ProbVector:
         if self.n < 0:
             raise IqpError(f"bit count must be nonnegative, got {self.n}")
         probs = np.array(self.probs, dtype=np.float64, copy=True)
-        if probs.ndim != 1 or probs.shape[0] != 1 << self.n:
-            raise IqpError(
-                f"expected {1 << self.n} entries for n={self.n}, got shape {probs.shape}"
-            )
+        size = dense_size(self.n)
+        if probs.ndim != 1 or probs.shape[0] != size:
+            raise IqpError(f"expected {size} entries for n={self.n}, got shape {probs.shape}")
         if not np.all(np.isfinite(probs)):
             raise IqpError("probabilities must be finite")
         if np.any(probs < 0.0):
@@ -132,8 +131,9 @@ def validate(raw, n: int) -> ProbVector:
     if n < 0:
         raise IqpError(f"bit count must be nonnegative, got {n}")
     arr = np.array(raw, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.shape[0] != 1 << n:
-        raise IqpError(f"expected {1 << n} entries for n={n}, got shape {arr.shape}")
+    size = dense_size(n)
+    if arr.ndim != 1 or arr.shape[0] != size:
+        raise IqpError(f"expected {size} entries for n={n}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise IqpError("entries must be finite")
     if np.any(arr < -CLAMP_TOL):
@@ -152,11 +152,6 @@ def tv_distance(p: ProbVector, q: ProbVector) -> float:
     if p.n != q.n:
         raise IqpError(f"cannot compare n={p.n} with n={q.n}")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
-def sparsity(p: ProbVector, zero_tol: float = 0.0) -> int:
-    """Number of entries strictly greater than zero_tol."""
-    return int(np.count_nonzero(p.probs > zero_tol))
 
 
 def sort_with_permutation(

@@ -113,12 +113,6 @@ def marginal_mixture(pt: PhaseTable) -> ProbVector:
     return validate(acc / float(1 << (pt.m + 2 * pt.n)), pt.n)
 
 
-def is_uma(state: StateVector, tol: float = 1e-12) -> bool:
-    """Whether every amplitude has modulus 2**(-qubits/2) within tol."""
-    target = 2.0 ** (-0.5 * state.qubits)
-    return bool(np.max(np.abs(np.abs(state.amps) - target)) <= tol)
-
-
 def simulate_gates(g: GateList) -> StateVector:
     """Run exp(i * angle * X_S) gates on the all-zeros state.
 

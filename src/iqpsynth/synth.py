@@ -52,6 +52,7 @@ from ._bits import (
     bit_keys,
     canonical_angle,
     canonical_phase,
+    dense_size,
     enforce_cap,
     parity,
     wht_inplace,
@@ -86,8 +87,9 @@ class PhaseTable:
         if self.m < 0 or self.n < 0:
             raise IqpError("qubit counts must be nonnegative")
         theta = np.asarray(self.theta, dtype=np.float64).ravel()
-        if theta.shape[0] != 1 << (self.m + self.n):
-            raise IqpError(f"expected {1 << (self.m + self.n)} phases, got {theta.shape[0]}")
+        size = dense_size(self.m + self.n)
+        if theta.shape[0] != size:
+            raise IqpError(f"expected {size} phases, got {theta.shape[0]}")
         if not np.all(np.isfinite(theta)):
             raise IqpError("phases must be finite")
         theta = canonical_phase(theta)  # a fresh array: the caller's is untouched
@@ -104,10 +106,6 @@ def _parity_rows(b1, b2, theta_star, n: int) -> NDArray[np.float64]:
     return np.pi * parity(b1 & y) + theta_star * parity(flip & y)
 
 
-def _theta_star(mass: float) -> float:
-    return 2.0 * math.acos(math.sqrt(mass))
-
-
 def _pair_rows(b1, b2, mass, n: int) -> NDArray[np.float64]:
     """Rows yielding b1 with each mass and b2 with the rest, uncanonicalized.
 
@@ -116,7 +114,8 @@ def _pair_rows(b1, b2, mass, n: int) -> NDArray[np.float64]:
     """
     b1, b2 = np.asarray(b1), np.asarray(b2)
     mass = np.where(b1 == b2, 1.0, np.clip(mass, 0.0, 1.0))
-    return _parity_rows(b1, b2, [_theta_star(x) for x in mass.tolist()], n)
+    theta_star = [2.0 * math.acos(math.sqrt(x)) for x in mass.tolist()]
+    return _parity_rows(b1, b2, theta_star, n)
 
 
 def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
@@ -130,7 +129,7 @@ def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
     When b1 == b2 the row is a plain parity pattern and carries the whole
     unit of probability; mass is forced to 1 in that case.
     """
-    size = 1 << n
+    size = dense_size(n)
     if not 0 <= b1 < size:
         raise IqpError(f"b1={b1} outside [0, {size})")
     if not 0 <= b2 < size:
@@ -160,10 +159,11 @@ def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
     on outcome v[j]; mixing rows uniformly weights each outcome by its
     multiplicity.  All phases are 0 or pi.
     """
-    size = len(v)
-    if not size or size & (size - 1):
+    v = np.asarray(v)
+    size = v.size
+    if v.ndim != 1 or not size or size & (size - 1):
         raise IqpError(f"expected 2**m multiplicity labels, got {size}")
-    if not 0 <= int(v.min()) <= int(v.max()) < 1 << n:
+    if v.dtype.kind not in "iu" or not 0 <= int(v.min()) <= int(v.max()) < dense_size(n):
         raise IqpError(f"multiplicity labels must lie in [0, 2**{n})")
     return PhaseTable(size.bit_length() - 1, n, _parity_rows(v, v, np.zeros(size), n))
 
@@ -374,6 +374,8 @@ def _angle_values(tokens: Sequence[str]) -> tuple[NDArray[np.float64], tuple[int
     unparsed = set()
     for token in lookup:
         try:
+            if not token.isascii() or "_" in token:  # float() takes "1_0" and non-ASCII digits
+                raise ValueError(token)
             lookup[token] = float(token)
         except ValueError:
             unparsed.add(token)
@@ -546,6 +548,8 @@ class _CircuitReader:
                 if eq != "=" or key not in ("m", "n") or key in sizes:
                     raise IqpError(f"line {lineno}: bad HEADER field {token!r}")
                 try:
+                    if not value.isascii() or "_" in value:  # int() takes "1_0" and non-ASCII digits
+                        raise ValueError(value)
                     sizes[key] = int(value)
                 except ValueError:
                     raise IqpError(f"line {lineno}: {key} must be an integer") from None

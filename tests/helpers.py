@@ -54,6 +54,23 @@ def oracle_marginal(theta: np.ndarray, m: int, n: int) -> np.ndarray:
     return joint.reshape(1 << m, 1 << n).sum(axis=0)
 
 
+def allocation_sums(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums (math.fsum) and column sums of an allocation's padded arrays."""
+    rows = np.zeros(len(cols))
+    columns = np.zeros(len(cols))
+    for i, (row_cols, row_vals) in enumerate(zip(cols.tolist(), vals.tolist())):
+        filled = [(c, v) for c, v in zip(row_cols, row_vals) if c >= 0]
+        rows[i] = math.fsum(v for _, v in filled)
+        for c, v in filled:
+            columns[c] += v
+    return rows, columns
+
+
+def is_uma(amps: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether every amplitude has modulus 2**(-qubits/2) within tol."""
+    return bool(np.abs(np.abs(amps) - 1.0 / math.sqrt(amps.size)).max() <= tol)
+
+
 def random_dist(rng: np.random.Generator, n: int) -> np.ndarray:
     """Normalized random vector with varied texture: dense, spiky, or gappy."""
     size = 1 << n

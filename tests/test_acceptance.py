@@ -24,13 +24,13 @@ from iqpsynth.decompose import (
     build_multiplicity_map,
     decompose_2sparse,
     round_to_dyadic,
+    rows_to_dists,
 )
 from iqpsynth.probdist import serialize_dist, tv_distance, validate
 from iqpsynth.sim import (
     StateVector,
     apply_hadamard_layer,
     full_statevector,
-    is_uma,
     marginal_full,
     marginal_mixture,
     simulate_gates,
@@ -45,7 +45,7 @@ from iqpsynth.synth import (
     walsh_lower,
 )
 
-from helpers import random_dist
+from helpers import allocation_sums, is_uma, random_dist
 
 
 def announce(k: int, ok: bool, detail: str) -> bool:
@@ -131,17 +131,15 @@ def test_criterion_3_allocation_invariants():
     for i in range(500):
         n = 1 + i % 8  # N cycles over 2..256
         p = validate(random_dist(rng, n), n)
-        q = allocate_3sparse(p)
-        assert q.N == 1 << n
-        rows = [
-            [(c, v) for c, v in zip(cols, vals) if c >= 0]
-            for cols, vals in zip(q.cols.tolist(), q.vals.tolist())
-        ]
-        assert max(len(row) for row in rows) <= 3
-        assert all(v > 0.0 for row in rows for _, v in row)
-        worst_row = max(worst_row, float(np.abs(q.row_sums() - 1.0 / q.N).max()))
-        worst_col = max(worst_col, float(np.abs(q.column_sums() - p.probs).max()))
-        q.verify_against(p, tol=1e-12)
+        cols, vals = allocate_3sparse(p)
+        assert cols.shape == (1 << n, 3)
+        assert len(rows_to_dists((cols, vals))) == 1 << n  # entries laid out as Mixture checks
+        row_sums, column_sums = allocation_sums(cols, vals)
+        row_err = float(np.abs(row_sums - 1.0 / (1 << n)).max())
+        col_err = float(np.abs(column_sums - p.probs).max())
+        assert row_err <= 1e-12 and col_err <= 1e-12
+        worst_row = max(worst_row, row_err)
+        worst_col = max(worst_col, col_err)
         runs += 1
     elapsed = time.perf_counter() - start
     ok = runs == 500 and elapsed < budget
@@ -199,7 +197,7 @@ def test_criterion_5_two_outcome_rows():
         b2 = int(rng.integers(1 << n))
         mass = float(rng.random())
         row = uma_phases_for_pair(b1, b2, mass, n)
-        assert is_uma(StateVector(n, np.exp(1j * row.theta) * 2.0 ** (-0.5 * n)))
+        assert is_uma(StateVector(n, np.exp(1j * row.theta) * 2.0 ** (-0.5 * n)).amps)
         probs = _measure_row(row)
         off = sum(p for b, p in enumerate(probs) if b not in (b1, b2))
         mass_err = abs(probs[b1] - (1.0 if b1 == b2 else mass))
@@ -313,8 +311,9 @@ def test_criterion_8_degenerate_inputs():
         for n, raw in cases:
             p = validate(raw, n)
             exact_cli(p)
-            q = allocate_3sparse(p)
-            q.verify_against(p, tol=1e-12)
+            row_sums, column_sums = allocation_sums(*allocate_3sparse(p))
+            assert np.abs(row_sums - 1.0 / len(p)).max() <= 1e-12
+            assert np.abs(column_sums - p.probs).max() <= 1e-12
             parts = decompose_2sparse(p)
             assert parts.sparsity.max() <= 2
             # these inputs sit on the grid already

@@ -33,12 +33,12 @@ def test_parity_matches_popcount_up_to_63_bits():
     ]
     got = parity(np.array(values, dtype=np.uint64))
     assert got.tolist() == [bin(v).count("1") & 1 for v in values]
-    assert [parity(v) for v in values[:50]] == [bin(v).count("1") & 1 for v in values[:50]]
 
 
 def test_parity_scalar_and_no_aliasing():
-    assert parity(0) == 0
-    assert parity(7) == 1
+    # a 0-d input gives a 0-d result
+    assert parity(np.uint64(0)).tolist() == 0
+    assert parity(np.uint64(7)).tolist() == 1
     buf = np.array([3, 5], dtype=np.uint64)
     parity(buf)
     assert np.array_equal(buf, np.array([3, 5], dtype=np.uint64))
@@ -112,23 +112,18 @@ def test_wht_rejects_bad_length():
 @settings(derandomize=True, max_examples=200)
 @given(st.floats(-50.0, 50.0))
 def test_canonical_ranges(x):
-    phase = canonical_phase(x)
+    (phase,) = canonical_phase(np.array([x]))
     assert 0.0 <= phase < TAU
-    angle = canonical_angle(x)
+    (angle,) = canonical_angle(np.array([x]))
     assert -np.pi < angle <= np.pi
     # both represent the same rotation
-    assert abs(canonical_phase(angle) - phase) < 1e-9 or abs(
-        abs(canonical_phase(angle) - phase) - TAU
-    ) < 1e-9
+    (again,) = canonical_phase(np.array([angle]))
+    assert abs(again - phase) < 1e-9 or abs(abs(again - phase) - TAU) < 1e-9
 
 
 def test_canonical_exact_boundaries():
-    assert canonical_phase(TAU) == 0.0
-    assert canonical_phase(0.0) == 0.0
-    assert canonical_phase(-0.0) == 0.0
-    assert canonical_angle(np.pi) == np.pi
-    assert canonical_angle(-np.pi) == np.pi
-    assert canonical_angle(TAU) == 0.0
+    assert canonical_phase(np.array([TAU, 0.0, -0.0])).tolist() == [0.0, 0.0, 0.0]
+    assert canonical_angle(np.array([np.pi, -np.pi, TAU])).tolist() == [np.pi, np.pi, 0.0]
 
 
 def test_qubit_cap_env(monkeypatch):

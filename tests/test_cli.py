@@ -592,6 +592,10 @@ REFUSALS = [
              "line 1: m must be an integer"),
     _refusal("header-negative", "simulate in", "HEADER m=-1 n=1\n", 2,
              "line 1: HEADER needs m>=0 and n>=0"),
+    _refusal("header-non-ascii-digit", "simulate in", "HEADER m=\u0661 n=1\n".encode(), 2,
+             "line 1: m must be an integer"),
+    _refusal("header-underscore", "simulate in", "HEADER m=0 n=1_0\n", 2,
+             "line 1: n must be an integer"),
     _refusal("duplicate-header", "simulate in", HEADER_1 * 2, 2,
              "line 2: duplicate HEADER"),
     _refusal("globalphase-arity", "simulate in", HEADER_1 + "GLOBALPHASE\n", 2,
@@ -602,6 +606,8 @@ REFUSALS = [
              "line 2: bad angle 'x'"),
     _refusal("globalphase-infinite", "simulate in", HEADER_1 + "GLOBALPHASE inf\n", 2,
              "line 2: angle must be finite"),
+    _refusal("globalphase-underscore", "simulate in", HEADER_1 + "GLOBALPHASE 1_0\n", 2,
+             "line 2: bad angle '1_0'"),
     _refusal("unknown-keyword", "simulate in", HEADER_1 + "FOO 1\n", 2,
              "line 2: unknown keyword 'FOO'"),
     _refusal("phase-arity", "simulate in", HEADER_1 + "PHASE 0\n", 2,
@@ -616,6 +622,11 @@ REFUSALS = [
              "line 3: duplicate PHASE for '0'"),
     _refusal("phase-angle", "simulate in", HEADER_1 + "PHASE 0 x\n", 2,
              "line 2: bad angle 'x'"),
+    _refusal("phase-angle-underscore", "simulate in", HEADER_1 + "PHASE 0 1_0.5\n", 2,
+             "line 2: bad angle '1_0.5'"),
+    _refusal("xrot-angle-non-ascii-digit", "simulate in",
+             (HEADER_1 + "XROT \u0661.5 q0\n").encode(), 2,
+             "line 2: bad angle '\u0661.5'"),
     _refusal("qubit-token", "simulate in", HEADER_1 + "XROT 0.5 p0\n", 2,
              "line 2: bad qubit token 'p0'"),
     _refusal("qubit-non-ascii-digit", "simulate in",

@@ -14,7 +14,6 @@ from iqpsynth.probdist import (
     parse_dist,
     serialize_dist,
     sort_with_permutation,
-    sparsity,
     tv_distance,
     validate,
 )
@@ -125,12 +124,6 @@ def test_tv_distance_frozen_value():
 def test_tv_distance_dimension_check():
     with pytest.raises(IqpError, match="cannot compare n=0 with n=1"):
         tv_distance(validate([1.0], 0), validate([0.5, 0.5], 1))
-
-
-def test_sparsity_counts():
-    p = validate([0.5, 0.0, 0.5, 0.0], 2)
-    assert sparsity(p) == 2
-    assert sparsity(p, zero_tol=0.6) == 0
 
 
 @settings(derandomize=True, max_examples=100)

@@ -1,13 +1,16 @@
-"""The example scripts still run against the package API."""
+"""The example scripts and the benchmark's tracer still fit the package API."""
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,3 +27,14 @@ def test_scripts_run(capsys):
     assert len(rows) == 4  # n in 1..2, m in n..n+1
     for n, m, bound, worst, _ in rows:
         assert float(worst) <= float(bound), (n, m)
+
+
+def test_benchmark_spans_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 wraps each (module, name) of PATCHES when it
+    # starts; a name the package no longer has fails that install
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read perfbench/, write nothing
+    spans = load("spans", ROOT / "perfbench")
+    assert spans.PATCHES
+    for module, name, _ in spans.PATCHES:
+        target = getattr(importlib.import_module(f"iqpsynth.{module}"), name, None)
+        assert callable(target), f"iqpsynth.{module}.{name}"

@@ -16,7 +16,6 @@ from iqpsynth.sim import (
     StateVector,
     apply_hadamard_layer,
     full_statevector,
-    is_uma,
     marginal_full,
     marginal_mixture,
     sample,
@@ -135,13 +134,6 @@ def test_mixture_chunking_boundaries(monkeypatch):
     assert np.array_equal(whole.probs, chunked.probs) or (
         np.abs(whole.probs - chunked.probs).max() <= 1e-15
     )
-
-
-def test_is_uma():
-    good = StateVector(2, np.full(4, 0.5 + 0j))
-    assert is_uma(good)
-    skew = np.array([0.6, 0.4, 0.4, 0.4]) / math.sqrt(0.84)
-    assert not is_uma(StateVector(2, skew))
 
 
 def test_simulate_gates_frozen_single_rotation():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from iqpsynth import synth
 from iqpsynth._bits import canonical_phase, parity
 from iqpsynth.decompose import (
-    allocate_3sparse,
     build_multiplicity_map,
     decompose_2sparse,
     round_to_dyadic,
@@ -24,7 +23,6 @@ from iqpsynth.sim import (
     StateVector,
     apply_hadamard_layer,
     full_statevector,
-    is_uma,
     marginal_mixture,
     simulate_gates,
 )
@@ -40,7 +38,7 @@ from iqpsynth.synth import (
     walsh_lower,
 )
 
-from helpers import random_dist
+from helpers import is_uma, random_dist
 
 
 def row_state(row):
@@ -106,7 +104,7 @@ def test_uma_validation():
 def test_uma_support_and_mass(args):
     n, b1, b2, mass = args
     row = uma_phases_for_pair(b1, b2, mass, n)
-    assert is_uma(row_state(row), tol=1e-12)
+    assert is_uma(row_state(row).amps, tol=1e-12)
     probs = measured(row)
     off = [p for b, p in enumerate(probs) if b not in (b1, b2)]
     assert max(off, default=0.0) <= 1e-12
@@ -245,7 +243,6 @@ def test_array_dataclasses_compare_by_identity():
     makers = (
         lambda: GateList(2, 0.0, [1, 2], [0.5, 0.5]),
         lambda: PhaseTable(1, 1, [0.0, 1.0, 2.0, 3.0]),
-        lambda: allocate_3sparse(p),
         lambda: decompose_2sparse(p),
     )
     for make in makers:
