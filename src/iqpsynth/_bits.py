@@ -98,9 +98,15 @@ def wht_inplace(a: np.ndarray) -> np.ndarray:
 
 
 def canonical_phase(theta: np.ndarray) -> np.ndarray:
-    """Reduce phases into [0, 2*pi)."""
-    out = np.mod(theta, TAU)
-    return np.where(out == TAU, 0.0, out)
+    """Reduce phases into [0, 2*pi), as a fresh float64 array.
+
+    Only entries outside the range (sign bit set, -0.0 included, or at
+    least 2*pi) go through np.mod, so in-range tables cost one copy.
+    """
+    out = np.array(theta, dtype=np.float64)
+    np.mod(out, TAU, out=out, where=np.signbit(out) | (out >= TAU))
+    out[out == TAU] = 0.0  # only a reduced entry can round up to 2*pi
+    return out
 
 
 def canonical_angle(angle: np.ndarray) -> np.ndarray:

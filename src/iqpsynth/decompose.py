@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import dense_size
+from ._bits import DENSE_MAX_QUBITS, dense_size, enforce_cap
 from .errors import InternalError, IqpError
 from .probdist import CLAMP_TOL, ProbVector, _fsum, sort_with_permutation
 
@@ -36,7 +36,8 @@ DYADIC_GUARD = 1e-9
 def _fsum_rows(vals: NDArray[np.float64]) -> NDArray[np.float64]:
     """math.fsum of each row of a 2-D array, inf where a row passes the float range."""
     if vals.shape[1] <= 2:  # one addition rounds once, as fsum does
-        return vals.sum(axis=1)
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            return vals.sum(axis=1)
     return np.array([_fsum(row) for row in vals.tolist()])
 
 
@@ -56,13 +57,19 @@ class Mixture:
 
     def __post_init__(self) -> None:
         size = dense_size(self.n)
+        bad_shape = "component columns and values must be 2-D arrays of one shape"
         try:
             cols = np.array(self.cols, dtype=np.int64)
         except OverflowError:
             raise IqpError(f"component entries must lie in [0, {size})") from None
-        masses = np.array(self.masses, dtype=np.float64)
+        except ValueError:  # ragged nested lists
+            raise IqpError(bad_shape) from None
+        try:
+            masses = np.array(self.masses, dtype=np.float64)
+        except ValueError:
+            raise IqpError(bad_shape) from None
         if cols.ndim != 2 or cols.shape != masses.shape:
-            raise IqpError("component columns and values must be 2-D arrays of one shape")
+            raise IqpError(bad_shape)
         filled = cols >= 0
         for message, bad in (
             ("entries must be distinct and ascending",
@@ -247,6 +254,7 @@ def build_multiplicity_map(q: ProbVector, m: int) -> NDArray[np.int64]:
         raise IqpError("q is not exactly dyadic at resolution m")
     if int(counts.sum()) != 1 << m:
         raise IqpError("dyadic counts do not fill 2**m slots")
+    enforce_cap(m, DENSE_MAX_QUBITS, "multiplicity map")
     v = np.repeat(np.arange(len(q), dtype=np.int64), counts)
     v.flags.writeable = False
     return v

@@ -42,6 +42,7 @@ import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -136,6 +137,7 @@ def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
         raise IqpError(f"b2={b2} outside [0, {size})")
     if not math.isfinite(mass) or mass < -MASS_TOL or mass > 1.0 + MASS_TOL:
         raise IqpError(f"mass {mass!r} outside [0, 1]")
+    enforce_cap(n, DENSE_MAX_QUBITS, "phase table")
     return PhaseTable(0, n, _pair_rows([b1], [b2], [mass], n))
 
 
@@ -165,7 +167,9 @@ def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
         raise IqpError(f"expected 2**m multiplicity labels, got {size}")
     if v.dtype.kind not in "iu" or not 0 <= int(v.min()) <= int(v.max()) < dense_size(n):
         raise IqpError(f"multiplicity labels must lie in [0, 2**{n})")
-    return PhaseTable(size.bit_length() - 1, n, _parity_rows(v, v, np.zeros(size), n))
+    m = size.bit_length() - 1
+    enforce_cap(m + n, DENSE_MAX_QUBITS, "phase table")
+    return PhaseTable(m, n, _parity_rows(v, v, np.zeros(size), n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,31 +290,38 @@ def serialize_circuit(
 # Circuit text is written and read a bounded block at a time: PHASE lines
 # are written _CHUNK_ROWS to a block, and a block read runs at most to the
 # first newline at least _CHUNK_CHARS characters past its start.
+# _CHUNK_ROWS is a power of two, so the rows of a PHASE block share their
+# high bits.
 _CHUNK_ROWS = 1 << 12
 _CHUNK_CHARS = 1 << 17
 
-_PHASE_CODES = np.array([ord(c) for c in "PHASE "], dtype=np.uint32)
+
+@cache
+def _phase_tails(width: int) -> tuple[str, ...]:
+    """The low `width` bits of every row of a block, each with its trailing space."""
+    return tuple(f"{low:0{width}b} " for low in range(1 << width)) if width else ("",)
 
 
 def _phase_blocks(theta: NDArray[np.float64], total: int) -> Iterator[str]:
     """The PHASE lines of a table, one newline-terminated block at a time.
 
-    Each line's "PHASE <bits> " prefix is assembled as UCS-4 code points and
-    viewed as a string; each distinct phase of a block is formatted once.
+    Line x reads f"PHASE {x:0{total}b} {format_float(theta[x])}", with no
+    bits at total 0.  Blocks start at multiples of _CHUNK_ROWS = 2**12, so
+    the lines of a block share one head, "PHASE " and the bits above the
+    low 12, and take the low bits and their trailing space from one cached
+    tuple per width.  Each line is three join pieces, head, tail and value,
+    and each distinct phase of a block is formatted once.
     """
-    width = len(_PHASE_CODES) + (total + 1 if total else 0)
-    shifts = np.arange(total, dtype=np.uint32)[::-1]
+    low = min(total, _CHUNK_ROWS.bit_length() - 1)
+    tails = _phase_tails(low)
     for start in range(0, theta.size, _CHUNK_ROWS):
         stop = min(theta.size, start + _CHUNK_ROWS)
-        x = np.arange(start, stop, dtype=np.uint32)
-        cells = np.full((x.size, width), ord(" "), dtype=np.uint32)
-        cells[:, : len(_PHASE_CODES)] = _PHASE_CODES
-        cells[:, len(_PHASE_CODES) : width - 1] = ord("0") + ((x[:, None] >> shifts) & 1)
+        head = f"PHASE {start >> low:0{total - low}b}" if total > low else "PHASE "
         distinct, inverse = np.unique(theta[start:stop], return_inverse=True)
-        values = [format_float(v) + "\n" for v in distinct.tolist()]
-        pieces: list[str] = [""] * (2 * x.size)
-        pieces[0::2] = cells.view(f"U{width}").ravel().tolist()
-        pieces[1::2] = map(values.__getitem__, inverse.tolist())
+        values = np.array([format_float(v) + "\n" for v in distinct.tolist()], object)
+        pieces = [head] * (3 * (stop - start))
+        pieces[1::3] = tails[: stop - start]
+        pieces[2::3] = values[inverse].tolist()
         yield "".join(pieces)
 
 

@@ -126,6 +126,23 @@ def test_canonical_exact_boundaries():
     assert canonical_angle(np.array([np.pi, -np.pi, TAU])).tolist() == [np.pi, np.pi, 0.0]
 
 
+def test_canonical_phase_matches_the_mod_reference_bitwise():
+    special = [0.0, -0.0, TAU, np.nextafter(TAU, 0.0), -5e-324, 5e-324, -TAU, 1e308, -1e308]
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([special, rng.uniform(-20.0, 20.0, 500), rng.uniform(0.0, TAU, 500)])
+    before = theta.copy()
+    want = np.mod(theta, TAU)
+    want = np.where(want == TAU, 0.0, want)
+    got = canonical_phase(theta)
+    # bit patterns, so that -0.0 and 0.0 differ
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert got[1].tobytes() == np.float64(0.0).tobytes()
+    assert theta.tobytes() == before.tobytes() and not np.shares_memory(got, theta)
+    inside = theta[-500:]  # no entry to fold, still a fresh array
+    got = canonical_phase(inside)
+    assert got.tobytes() == inside.tobytes() and not np.shares_memory(got, inside)
+
+
 def test_qubit_cap_env(monkeypatch):
     monkeypatch.delenv("IQP_MAX_QUBITS", raising=False)
     assert qubit_cap(24) == 24

@@ -18,9 +18,10 @@ from iqpsynth.synth import (
     uma_phases_for_pair,
 )
 
-# Sizes, indices and masks; then masses and angles.  2**70 is past int64,
-# 5e-324 the smallest subnormal, and 1e308 overflows once summed or doubled.
-SIZES = st.sampled_from([-1, 0, 1, 2, 2**70])
+# Sizes, indices and masks; then masses and angles.  40 is past every dense
+# cap, 2**70 past int64, 5e-324 the smallest subnormal, and 1e308 overflows
+# once summed or doubled.
+SIZES = st.sampled_from([-1, 0, 1, 2, 40, 2**70])
 REALS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 5e-324, 0.0, 0.5, 1.0])
 
 
@@ -78,3 +79,12 @@ def test_extreme_values_raise_only_iqp_error(name):
             assert str(exc)
 
     check()
+
+
+@pytest.mark.parametrize("cols, masses", [
+    ([[0], [0, 1]], [[1.0], [0.5, 0.5]]),
+    ([[0, 1], [0, 1]], [[1.0], [0.5, 0.5]]),
+])
+def test_ragged_mixture_is_refused(cols, masses):
+    with pytest.raises(IqpError, match="2-D arrays of one shape"):
+        Mixture(1, cols, masses)

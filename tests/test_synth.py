@@ -391,6 +391,40 @@ def test_gate_lines_match_a_per_gate_writer(data):
         assert back.global_phase == g.global_phase
 
 
+@pytest.mark.parametrize("total", range(17))
+def test_phase_lines_match_a_per_line_writer(total):
+    rng = np.random.default_rng(total)
+    size = 1 << total
+    pool = np.array([0.0, np.pi, np.nextafter(2.0 * np.pi, 0.0), 5e-324])
+    theta = np.where(
+        rng.random(size) < 0.5,
+        pool[rng.integers(0, pool.size, size)],
+        rng.uniform(0.0, 2.0 * np.pi, size),
+    )
+
+    def reference(rows):
+        return "".join(
+            f"PHASE {x:0{total}b} {format_float(v)}\n" if total else f"PHASE {format_float(v)}\n"
+            for x, v in enumerate(theta[:rows].tolist())
+        )
+
+    def assert_same_lines(got, want):
+        # the first differing line, not a diff of megabytes of text
+        got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert first is None, (first, got[first], want[first])
+        assert len(got) == len(want)
+
+    m = total // 2
+    text = serialize_circuit(m, total - m, table=PhaseTable(m, total - m, theta))
+    assert_same_lines(text, f"HEADER m={m} n={total - m}\n" + reference(size))
+    # row counts on both sides of the block edge, full blocks first
+    for rows in sorted({1, 4095, 4096, 4097, 8191, 8193, size} & set(range(1, size + 1))):
+        blocks = list(synth._phase_blocks(theta[:rows], total))
+        assert_same_lines("".join(blocks), reference(rows))
+        assert [b.count("\n") for b in blocks[:-1]] == [synth._CHUNK_ROWS] * (len(blocks) - 1)
+
+
 def test_circuit_file_blocks_are_optional():
     pt = PhaseTable(1, 1, [0.0, 0.5, 1.0, 1.5])
     only_table = round_trip(1, 1, table=pt)
