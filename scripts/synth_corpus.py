@@ -20,6 +20,11 @@ dense cross-check that verify runs.  A fifth digests the `masks` and
 `--format gates` file, which pins the XROT read path on its own, also
 where an XROT block is followed by PHASE lines.
 
+The five digests are pinned in PINNED.  After printing, the script exits 1
+and names on stderr each line whose digest differs from its pin, else it
+exits 0.  A change meant to be byte-neutral runs it and must exit 0; a
+change meant to alter output updates PINNED and says so in CHANGES.md.
+
 Usage:
     PYTHONPATH=src python3 scripts/synth_corpus.py [--digests out.json]
 """
@@ -31,6 +36,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -40,6 +46,19 @@ from iqpsynth.probdist import serialize_dist, validate
 from iqpsynth.synth import parse_circuit
 
 TEXTURES = ("dense", "spiky", "gappy", "ties", "point")
+
+# The digest each output line must print, by its label.
+PINNED = {
+    "outputs; corpus": "db0fe1c8d94523f2411602ac517c00664a5b6f0840c6e06180f1159307187d9e",
+    "gate files simulated; read":
+        "630b61a09d639e43db7f72592ed58e445fd7cfa31f9c82bdd115c11140589395",
+    "certificates; decompose":
+        "7ae3d06da80e686fe198f6056a1eb3ccd0877703ca3ded323d2590ec005cc412",
+    "phase-table files verified; verify":
+        "8a46e5303516fdb61ea8562979b79c0c32ece9780ba646549d0060b1ce5614f1",
+    "gate blocks parsed; gates":
+        "0e795b7a2bd6fc019d064486124bdd603858bf382399cd8659e543c07077b1d5",
+}
 
 
 def texture(name, rng, size):
@@ -150,16 +169,16 @@ def main_cli():
         with open(args.digests, "w") as handle:
             json.dump({"synth": digests, "simulate": reads, "decompose": certs,
                        "verify": tables, "gates": gates}, handle, indent=0, sort_keys=True)
-    for label, found in (
-        ("outputs; corpus", digests),
-        ("gate files simulated; read", reads),
-        ("certificates; decompose", certs),
-        ("phase-table files verified; verify", tables),
-        ("gate blocks parsed; gates", gates),
-    ):
+    differ = []
+    for label, found in zip(PINNED, (digests, reads, certs, tables, gates)):
         total = hashlib.sha256(json.dumps(found, sort_keys=True).encode()).hexdigest()
         print(f"{len(found)} {label} digest {total}")
+        if total != PINNED[label]:
+            differ.append(label)
+    for label in differ:
+        print(f"digest differs from its pin: {label}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main_cli()
+    sys.exit(main_cli())

@@ -104,8 +104,10 @@ def canonical_phase(theta: np.ndarray) -> np.ndarray:
     least 2*pi) go through np.mod, so in-range tables cost one copy.
     """
     out = np.array(theta, dtype=np.float64)
-    np.mod(out, TAU, out=out, where=np.signbit(out) | (out >= TAU))
-    out[out == TAU] = 0.0  # only a reduced entry can round up to 2*pi
+    outside = np.signbit(out) | (out >= TAU)
+    if np.count_nonzero(outside):
+        np.mod(out, TAU, out=out, where=outside)
+        out[out == TAU] = 0.0  # only a reduced entry can round up to 2*pi
     return out
 
 

@@ -12,8 +12,9 @@ with missing bitstrings meaning probability 0, or dense
 
     {"n": 2, "dense": [0.5, 0.0, 0.0, 0.5]}
 
-Decimals are parsed as base-10; serialization emits 17 significant digits,
-which round-trips IEEE doubles exactly.
+A key given twice, in "probs" or at the top level, is refused.  Decimals
+are parsed as base-10; serialization emits 17 significant digits, which
+round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -190,10 +191,20 @@ def _floats(values: list, field: str) -> NDArray[np.float64]:
         raise IqpError(f'"{field}" holds an integer too large for a float') from None
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key given twice is an IqpError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise IqpError(f"repeated key {key!r}")
+    return obj
+
+
 def parse_dist(text: str) -> ProbVector:
     """Parse either JSON form of the distribution file format and validate it."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_json_object)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise IqpError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -91,7 +91,7 @@ class PhaseTable:
         size = dense_size(self.m + self.n)
         if theta.shape[0] != size:
             raise IqpError(f"expected {size} phases, got {theta.shape[0]}")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise IqpError("phases must be finite")
         theta = canonical_phase(theta)  # a fresh array: the caller's is untouched
         theta.flags.writeable = False
@@ -391,7 +391,7 @@ def _angle_values(tokens: Sequence[str]) -> tuple[NDArray[np.float64], tuple[int
         except ValueError:
             unparsed.add(token)
     values = np.fromiter(map(lookup.__getitem__, tokens), np.float64, len(tokens))
-    nonfinite = np.flatnonzero(~np.isfinite(values))  # unparsed tokens read as nan
+    nonfinite = (~np.isfinite(values)).nonzero()[0]  # unparsed tokens read as nan
     if not nonfinite.size:
         return values, None
     i = int(nonfinite[0])
@@ -447,11 +447,40 @@ def _qubit_masks(
 def _first_duplicate(keys: NDArray[np.int64], seen: NDArray[np.bool_]) -> int | None:
     """Index of the first key that is in seen or occurs earlier in keys."""
     repeated = seen[keys]
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
-    hits = np.flatnonzero(repeated)
+    if np.count_nonzero(keys[1:] <= keys[:-1]):  # ascending keys repeat none of their own
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
+    hits = repeated.nonzero()[0]
     return int(hits[0]) if hits.size else None
+
+
+@cache
+def _phase_head(total: int) -> tuple[NDArray[np.uint8], NDArray[np.uint8]]:
+    """The 32 bytes before the angle of a PHASE line with all-zero bits, and
+    how far each may differ: 1 for a bit, 0 elsewhere in "PHASE ... " and
+    anything before it, which is the end of the line above."""
+    head = f"PHASE {'0' * total} ".encode()
+    limit = np.full(32, 255, np.uint8)
+    limit[32 - len(head) :] = 0
+    limit[32 - len(head) + 6 : 31] = 1
+    return np.frombuffer(head.rjust(32, b"\0"), np.uint8), limit
+
+
+# A PHASE head, "PHASE " + bits + " ", must fit the 32 bytes of _phase_head,
+# whose bits _phase_grid packs into one uint32 key.
+assert 7 + DENSE_MAX_QUBITS <= 32
+
+# Angle tokens of a PHASE grid span at most _TOKEN_MAX bytes.  Row r of
+# _TOKEN_MASKS[k] keeps the first r - 32 bytes of k words (none below 32),
+# and a token's words dotted with _TOKEN_WEIGHTS sort it among its block's:
+# an argsort of that hash beats np.unique on the tokens as strings.
+_TOKEN_MAX = 64
+_TOKEN_MASKS = tuple(
+    ((np.arange(8 * k) < np.arange(-32, _TOKEN_MAX + 1)[:, None]) * np.uint8(255)).view(np.uint64)
+    for k in range(_TOKEN_MAX // 8 + 1)
+)
+_TOKEN_WEIGHTS = np.arange(1, _TOKEN_MAX // 4, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 
 class _CircuitReader:
@@ -477,7 +506,7 @@ class _CircuitReader:
         """Parse a block whose first line is line `first`; return its line count."""
         lead = block[: block.find(" ") + 1]
         if self.saw_header and self.total and lead in ("PHASE ", "XROT ") and "#" not in block:
-            count = self._plain(block, lead, first)
+            count = self._phase_grid(block) if lead == "PHASE " else self._plain(block, first)
             if count is not None:
                 return count
 
@@ -521,15 +550,15 @@ class _CircuitReader:
             raise stop
         return len(lines)
 
-    def _plain(self, block: str, lead: str, first: int) -> int | None:
-        """Store a block whose lines all read (keyword, token, token), and
-        return their count; else store nothing and return None.
+    def _plain(self, block: str, first: int) -> int | None:
+        """Store a block whose lines all read (XROT, token, token), and return
+        their count; else store nothing and return None.
 
         Each check is one scan: splitlines would give `lines` lines, each
-        starting with `lead` (read() saw the first), and split() gives
-        3 * lines tokens.  The stores reject a keyword as bitstring, qubit
-        list or angle, so once they succeed each line starts at a token
-        index divisible by 3 and, with 3 * lines tokens in all, holds three.
+        starting with "XROT " (read() saw the first), and split() gives
+        3 * lines tokens.  _xrots rejects a keyword as angle or qubit list,
+        so once it succeeds each line starts at a token index divisible by 3
+        and, with 3 * lines tokens in all, holds three.
         """
         tokens = block.split()
         lines = len(tokens) // 3
@@ -538,12 +567,61 @@ class _CircuitReader:
             or block.count("\n") != lines
             or not block.endswith("\n")
             or any(c in block for c in _OTHER_BREAKS)
-            or block.count("\n" + lead) != lines - 1
+            or block.count("\nXROT ") != lines - 1
         ):
             return None
-        store = self._phases if lead == "PHASE " else self._xrots
-        error = store(range(first, first + lines), tokens[1::3], tokens[2::3])
+        error = self._xrots(range(first, first + lines), tokens[1::3], tokens[2::3])
         return lines if error is None else None
+
+    def _phase_grid(self, block: str) -> int | None:
+        """Store a block of PHASE lines read as one byte grid, and return their
+        count; else store nothing and return None.
+
+        The block must be ASCII without NUL or a line break but "\n", end
+        in "\n", and hold lines of "PHASE ", total bits, one space and an
+        angle token of at most _TOKEN_MAX bytes.  One scan finds the
+        newlines.  Row i of the grid is the 32 bytes up to line i's token,
+        its head right-aligned, then the token: the heads, XORed with
+        "PHASE 0...0 ", check and key every line at once, and the tokens,
+        zero past their ends and sorted by a hash of their words, fall into
+        runs of equal rows that each go once through _angle_values.
+        """
+        if not (block.isascii() and block.endswith("\n")):
+            return None
+        if any(c in block for c in "\0" + _OTHER_BREAKS):
+            return None
+        total = self.total
+        template, limit = _phase_head(total)
+        data = bytes(31) + b"\n" + block.encode("ascii") + bytes(_TOKEN_MAX)
+        newlines = (np.frombuffer(data, np.uint8) == 10).nonzero()[0]
+        rows = newlines[:-1] + (total - 24)  # 32 bytes before each line's token
+        spans = newlines[1:] - rows  # 32 plus the token's size, if the head checks out
+        # every row must hold a token, which also keeps each row inside data
+        longest = int(np.maximum.reduce(spans)) - 32
+        if np.minimum.reduce(spans) <= 32 or longest > _TOKEN_MAX:
+            return None
+        words = -(-longest // 8)  # per token
+        width = 32 + 8 * words
+        grid = np.ndarray((len(data) - width + 1, width), np.uint8, data, 0, (1, 1))[rows]
+        heads = grid[:, :32] ^ template
+        if np.count_nonzero(heads > limit):
+            return None
+        keys = np.packbits(heads).view(">u4").astype(np.intp)
+        keys = keys >> 1 & (1 << total) - 1  # the bits before the space
+
+        tokens = grid[:, 32:].view(np.uint64) & _TOKEN_MASKS[words][spans]
+        order = np.argsort(tokens @ _TOKEN_WEIGHTS[:words])
+        tokens = tokens[order]
+        new = np.concatenate(([True], (tokens[1:] != tokens[:-1]).any(axis=1)))
+        # as strings the zero padding is stripped; it cannot merge tokens, which hold no NUL
+        distinct = tokens[new].view(f"S{8 * words}")[:, 0].tolist()
+        values, bad_angle = _angle_values([token.decode() for token in distinct])
+        theta, seen = self._table()
+        if bad_angle is not None or _first_duplicate(keys, seen) is not None:
+            return None
+        seen[keys] = True
+        theta[keys[order]] = values[new.cumsum() - 1]
+        return len(keys)
 
     def _line(self, tokens: list[str], lineno: int) -> None:
         """One HEADER or GLOBALPHASE line, or any line before the header."""
@@ -592,14 +670,12 @@ class _CircuitReader:
         `at` gives the line number of each; bits are "" when total is 0.
         """
         total = self.total
-        if self.theta is None:
-            self.theta = np.zeros(1 << total, dtype=np.float64)
-            self.phase_seen = np.zeros(1 << total, dtype=bool)
+        theta, seen = self._table()
         keys, limit = bit_keys(bits, total)
         error = None
         if limit < len(bits):
             error = f"bitstring {bits[limit]!r} is not {total} bits"
-        duplicate = _first_duplicate(keys[:limit], self.phase_seen)
+        duplicate = _first_duplicate(keys[:limit], seen)
         if duplicate is not None:
             limit = duplicate
             error = f"duplicate PHASE for {bits[limit]!r}" if total else "duplicate PHASE"
@@ -608,9 +684,16 @@ class _CircuitReader:
             limit, error = bad_angle
         if error is not None:
             return at[limit], error
-        self.phase_seen[keys] = True
-        self.theta[keys] = values
+        seen[keys] = True
+        theta[keys] = values
         return None
+
+    def _table(self) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+        """The phases read so far and which are set, made at the first PHASE line."""
+        if self.theta is None or self.phase_seen is None:
+            self.theta = np.zeros(1 << self.total, dtype=np.float64)
+            self.phase_seen = np.zeros(1 << self.total, dtype=bool)
+        return self.theta, self.phase_seen
 
     def _xrots(
         self, at: Sequence[int], angles: Sequence[str], qubits: Sequence[str]

@@ -227,22 +227,29 @@ def test_plain_path_reads_every_phase_and_xrot_line(mode, n, tmp_path, capsys):
     dist = tmp_path / "dist.json"
     dist.write_text(serialize_dist(validate(raw / math.fsum(raw), n)) + "\n")
     flags = ["--mode", "approx", "--m", str(n + 1)] if mode == "approx" else []
-    plain = synth._CircuitReader._plain
-    counts = []
+    counts = {"_phase_grid": [], "_plain": []}
 
-    def spy(reader, *args):
-        counts.append(plain(reader, *args))
-        return counts[-1]
+    def spy(name):
+        reader = getattr(synth._CircuitReader, name)
+
+        def read(self, *args):
+            counts[name].append(reader(self, *args))
+            return counts[name][-1]
+
+        return mock.patch.object(synth._CircuitReader, name, read)
 
     gates = []
     for form in ([], ["--format", "gates"], ["--lower"]):
         code, text, _ = run(capsys, "synth", str(dist), *flags, *form)
         assert code == 0
-        counts.clear()
-        with mock.patch.object(synth._CircuitReader, "_plain", spy):
+        for found in counts.values():
+            found.clear()
+        with spy("_phase_grid"), spy("_plain"):
             circ = synth.parse_circuit(text)
-        runs = sum(line.startswith(("PHASE ", "XROT ")) for line in text.splitlines())
-        assert None not in counts and sum(counts) == runs
+        lines = text.splitlines()
+        for name, keyword in (("_phase_grid", "PHASE "), ("_plain", "XROT ")):
+            runs = sum(line.startswith(keyword) for line in lines)
+            assert None not in counts[name] and sum(counts[name]) == runs
         if form:
             gates.append(circ.gates)
     as_gates, lowered = gates
@@ -427,6 +434,35 @@ def test_synth_bytes_are_pinned(n, flags, digest, tmp_path, capsys):
     assert hashlib.sha256(circuit.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the `verify` report without its timings, followed by `simulate`
+# output, on an exact n=6 table (8,194 lines, two PHASE blocks) and an approx
+# n=6 --m 8 table, frozen so that a refactor of the circuit reader or of the
+# marginals must keep every reported figure bit for bit.
+PINNED_VERIFY = (
+    ([], "d8d7add49e9871ee2aaf6a93442572c320d2877124197ed1f8b0153194b770a7"),
+    (
+        ["--mode", "approx", "--m", "8"],
+        "1e63ae9d5f8c6c21a9b2e886a191a23887a868965ee13e47d2e28930aa1ce5ec",
+    ),
+)
+
+
+@pytest.mark.parametrize("flags, digest", PINNED_VERIFY)
+def test_verify_bytes_are_pinned(flags, digest, tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    dist.write_text(pinned_dist(6))
+    circuit = tmp_path / "c.txt"
+    assert run(capsys, "synth", str(dist), *flags, "-o", str(circuit))[0] == 0
+    code, out, _ = run(capsys, "verify", str(circuit), str(dist))
+    assert code == 0
+    report = json.loads(out)
+    del report["timings_ms"]
+    code, marginal, _ = run(capsys, "simulate", str(circuit))
+    assert code == 0
+    blob = json.dumps(report) + marginal
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 # sha256 of a `decompose --check` certificate followed by its stderr line, on
 # a spiky n=10 input, frozen so that a refactor of the decomposition must keep
 # every certificate byte and the reconstruction error bit for bit.
@@ -570,6 +606,10 @@ REFUSALS = [
              '"probs" must be an object keyed by bitstrings'),
     _refusal("value-not-number", "synth in", '{"n": 1, "probs": {"0": "a"}}', 2,
              "value for '0' is not a number"),
+    _refusal("repeated-key", "synth in", '{"n": 1, "probs": {"0": 0.25, "1": 0.5, "0": 0.5}}',
+             2, "repeated key '0'"),
+    _refusal("repeated-top-key", "verify c.txt in", '{"n": 1, "n": 1, "probs": {"0": 1}}', 2,
+             "repeated key 'n'"),
     _refusal("bad-key", "synth in", '{"n": 1, "probs": {"00": 1.0}}', 2,
              "key '00' is not a 1-bit string"),
     _refusal("wrong-length", "synth in", '{"n": 1, "dense": [1.0]}', 2,

@@ -38,3 +38,24 @@ def test_benchmark_spans_resolve(monkeypatch):
     for module, name, _ in spans.PATCHES:
         target = getattr(importlib.import_module(f"iqpsynth.{module}"), name, None)
         assert callable(target), f"iqpsynth.{module}.{name}"
+
+
+def test_corpus_gate_names_each_digest_off_its_pin(monkeypatch, capsys):
+    corpus = load("synth_corpus")
+    monkeypatch.setattr(corpus, "digest_corpus", lambda workdir: ({}, {}, {}, {}, {"k": "v"}))
+    monkeypatch.setattr(sys, "argv", ["synth_corpus.py"])
+    assert corpus.main_cli() == 1
+    printed = capsys.readouterr()
+    assert len(printed.out.splitlines()) == len(corpus.PINNED) == 5
+    assert printed.err.splitlines() == [f"digest differs from its pin: {label}"
+                                        for label in corpus.PINNED]
+    # pinned to what this stand-in corpus prints, only the changed line is named
+    lines = printed.out.splitlines()
+    pins = {label: line.split()[-1] for label, line in zip(corpus.PINNED, lines)}
+    pins["gate blocks parsed; gates"] = "0" * 64
+    monkeypatch.setattr(corpus, "PINNED", pins)
+    assert corpus.main_cli() == 1
+    assert capsys.readouterr().err == "digest differs from its pin: gate blocks parsed; gates\n"
+    pins["gate blocks parsed; gates"] = printed.out.split()[-1]
+    assert corpus.main_cli() == 0
+    assert capsys.readouterr().err == ""

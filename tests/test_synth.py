@@ -554,24 +554,36 @@ def parsed(text):
 
 def parsed_by_lines(text):
     """parsed(text) with every block read line by line."""
-    with mock.patch.object(synth._CircuitReader, "_plain", return_value=None):
+    with (
+        mock.patch.object(synth._CircuitReader, "_plain", return_value=None),
+        mock.patch.object(synth._CircuitReader, "_phase_grid", return_value=None),
+    ):
         return parsed(text)
+
+
+# the whole-block reader of each keyword's blocks
+WHOLE_BLOCK = {"PHASE": "_phase_grid", "XROT": "_plain"}
+
+
+def whole_block_counts(keyword, text):
+    """parsed(text), and what the whole-block reader of keyword returned per block."""
+    counts = []
+    reader = getattr(synth._CircuitReader, WHOLE_BLOCK[keyword])
+
+    def spy(self, *args):
+        counts.append(reader(self, *args))
+        return counts[-1]
+
+    with mock.patch.object(synth._CircuitReader, WHOLE_BLOCK[keyword], spy):
+        return parsed(text), counts
 
 
 @pytest.mark.parametrize("keyword", ["PHASE", "XROT"])
 def test_plain_blocks_read_as_lines_do(keyword):
     lines = big_circuit_lines(keyword)
     text = "".join(lines)
-    stored = []
-    plain = synth._CircuitReader._plain
-
-    def spy(reader, *args):
-        stored.append(plain(reader, *args))
-        return stored[-1]
-
-    with mock.patch.object(synth._CircuitReader, "_plain", spy):
-        canonical = parsed(text)
-    # the head is a block of its own, and every PHASE or XROT block is plain
+    canonical, stored = whole_block_counts(keyword, text)
+    # the head is a block of its own, and every PHASE or XROT block is read whole
     assert len(stored) == len(list(synth._chunks(text))) - 1 >= 3 and None not in stored
     assert sum(stored) == sum(line.startswith(keyword + " ") for line in lines)
     assert canonical == parsed_by_lines(text)
@@ -624,6 +636,97 @@ def test_plain_blocks_read_as_lines_do(keyword):
     ]
     for variant, line, message in errors:
         assert parsed(variant) == parsed_by_lines(variant) == f"line {line}: {message}"
+
+
+def test_phase_grid_faults_read_as_lines_do():
+    lines = big_circuit_lines("PHASE")
+    canonical = parsed("".join(lines))
+    deep = 3 * len(lines) // 4
+    _, bits, angle = lines[deep].split()
+
+    def edit(line):
+        return "".join([*lines[:deep], line, *lines[deep + 1 :]])
+
+    same = [
+        edit(f"PHASE {bits}  {angle}\n"),
+        edit(f"PHASE {bits} {angle}  \n"),
+        edit(f"PHASE {bits} {angle}\t\n"),
+        edit(f"PHASE {bits} \t{angle}\n"),
+        edit(f"PHASE\t{bits}\t{angle}\n"),
+        edit(f"PHASE  {bits} {angle}\n"),
+        edit(f"PHASE {bits} \x1f{angle}\n"),
+        edit(f"PHASE {bits} {angle}\x1f\n"),
+    ]
+    for variant in same:
+        assert parsed(variant) == parsed_by_lines(variant) == canonical
+    at = f"line {deep + 1}: "
+    takes = at + "PHASE takes a bitstring and angle"
+    nul = angle[:3] + "\0" + angle[3:]
+    faults = [
+        (f"PHASE {bits} {angle}\0\n", at + f"bad angle {angle + chr(0)!r}"),
+        (f"PHASE {bits} {nul}\n", at + f"bad angle {nul!r}"),
+        (f"PHASE {bits} {angle[:3]}\x1f{angle[3:]}\n", takes),
+        (f"PHASE {bits} 1_0\n", at + "bad angle '1_0'"),
+        (f"PHASE {bits} nan\n", at + "angle must be finite"),
+        (f"PHASE {bits} -inf\n", at + "angle must be finite"),
+        (f"PHASE {bits} 1e999\n", at + "angle must be finite"),
+        (f"PHASE {bits} \u0661.5\n", at + "bad angle '\u0661.5'"),
+        (f"PHASE {bits[1:]} {angle}\n", at + f"bitstring {bits[1:]!r} is not 14 bits"),
+        (f"PHASE {bits}0 {angle}\n", at + f"bitstring {bits + '0'!r} is not 14 bits"),
+        (f"PHASE 2{bits[1:]} {angle}\n", at + f"bitstring {'2' + bits[1:]!r} is not 14 bits"),
+        (f"PHASE {bits}\n", takes),
+        (f"PHASE {bits} \n", takes),
+        (lines[10], at + f"duplicate PHASE for {lines[10].split()[1]!r}"),
+    ]
+    for line, message in faults:
+        variant = edit(line)
+        assert parsed(variant) == parsed_by_lines(variant) == message
+    # other spellings of a float, read as float() reads them
+    for token in ("+.5", "1E5", "-0.0", "0.50000000000000000000000000001"):
+        variant = edit(f"PHASE {bits} {token}\n")
+        assert parsed(variant) == parsed_by_lines(variant) != canonical
+    # the last line without its newline, whole or without its angle
+    text = "".join(lines)
+    assert parsed(text[:-1]) == parsed_by_lines(text[:-1]) == canonical
+    cut = text[: text.rindex(" ")]
+    assert parsed(cut) == parsed_by_lines(cut) == f"line {len(lines)}: " + takes[len(at):]
+    # a last angle of 60 bytes, then a blank line or a short bad one
+    _, last_bits, _ = lines[-1].split()
+    text = "".join(lines[:-1]) + f"PHASE {last_bits} 0.{'5' * 58}\n"
+    assert parsed(text + "\n") == parsed_by_lines(text + "\n") == parsed(text) != canonical
+    bad = f"line {len(lines) + 1}: unknown keyword 'P'"
+    assert parsed(text + "P\n") == parsed_by_lines(text + "P\n") == bad
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_phase_grid_reads_any_block_as_lines_do(data):
+    total = data.draw(st.integers(1, 5))
+    odd = st.sampled_from([" ", "  ", "\t", "\x1f", "\0", "\r", "\x0b", "\x1c", "\n", "\u0661",
+                           "_"])
+    named = st.sampled_from(["0", "3.1415926535897931", "-1.5", "1_0", "nan", "-inf", "1e999",
+                             "+.5", "1E5", "1.0.0", "", "0x1", "0." + "5" * 38,
+                             "0." + "5" * 58, "7" * 70])
+    angles = st.floats(-10.0, 10.0).map(format_float)
+    lines = []
+    unique = data.draw(st.integers(0, 3)) > 0  # else keys may repeat, within or across blocks
+    keys = st.lists(st.integers(0, (1 << total) - 1), min_size=1, max_size=12, unique=unique)
+    for key in data.draw(keys):
+        bits = format(key, f"0{total}b")
+        if not data.draw(st.integers(0, 19)):
+            bits = data.draw(st.sampled_from([bits[1:], bits + "0", "2" + bits[1:], " " + bits]))
+        angle = data.draw(angles if data.draw(st.integers(0, 5)) else named)
+        if not data.draw(st.integers(0, 11)):
+            at = data.draw(st.integers(0, len(angle)))
+            angle = angle[:at] + data.draw(odd) + angle[at:]
+        gap = data.draw(st.sampled_from([" ", " ", " ", "  ", "\t"]))
+        lines.append(f"PHASE {bits}{gap}{angle}\n")
+    # the last line with or without its newline, or followed by a blank or a short bad line
+    end = data.draw(st.sampled_from(["\n", "\n", "\n", "\n", "", "\n\n", "\nP\n"]))
+    text = f"HEADER m=0 n={total}\n" + "".join(lines)[:-1] + end
+    # blocks of a few lines each, so that keys repeat across blocks
+    with mock.patch.object(synth, "_CHUNK_CHARS", data.draw(st.integers(1, 200))):
+        assert parsed(text) == parsed_by_lines(text)
 
 
 def test_xrot_faults_read_as_lines_do():
