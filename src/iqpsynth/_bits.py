@@ -35,6 +35,15 @@ def dense_size(bits: int) -> int:
     return 1 << bits
 
 
+def as_array(values, dtype, message: str) -> np.ndarray:
+    """np.asarray(values, dtype), so an array of that dtype is not copied; an
+    integer past the dtype's range raises IqpError(message), not OverflowError."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        raise IqpError(message) from None
+
+
 def qubit_cap(default: int) -> int:
     """Hard qubit cap for an operation, optionally lowered via IQP_MAX_QUBITS."""
     raw = os.environ.get(ENV_MAX_QUBITS)

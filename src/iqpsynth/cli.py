@@ -103,7 +103,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.mode == "exact":
         if args.m is not None:
             raise IqpError("--m is fixed at n+1 in exact mode; drop the flag")
-        enforce_cap(2 * p.n + 1, DENSE_MAX_QUBITS, "phase table")
         table = exact_phase_table(p)
     else:
         if args.m is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, dense_size, enforce_cap
+from ._bits import DENSE_MAX_QUBITS, as_array, dense_size, enforce_cap
 from .errors import InternalError, IqpError
 from .probdist import CLAMP_TOL, ProbVector, _fsum, sort_with_permutation
 
@@ -59,14 +59,9 @@ class Mixture:
         size = dense_size(self.n)
         bad_shape = "component columns and values must be 2-D arrays of one shape"
         try:
-            cols = np.array(self.cols, dtype=np.int64)
-        except OverflowError:
-            raise IqpError(f"component entries must lie in [0, {size})") from None
+            cols = as_array(self.cols, np.int64, f"component entries must lie in [0, {size})")
+            masses = as_array(self.masses, np.float64, "component values must be finite")
         except ValueError:  # ragged nested lists
-            raise IqpError(bad_shape) from None
-        try:
-            masses = np.array(self.masses, dtype=np.float64)
-        except ValueError:
             raise IqpError(bad_shape) from None
         if cols.ndim != 2 or cols.shape != masses.shape:
             raise IqpError(bad_shape)
@@ -84,6 +79,7 @@ class Mixture:
         if off.any():
             k = off.argmax()
             raise IqpError(f"component {k} masses sum to {float(totals[k])!r}, expected 1")
+        cols, masses = cols.copy(), masses.copy()  # the caller's arrays stay writable
         cols.flags.writeable = masses.flags.writeable = False
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "masses", masses)

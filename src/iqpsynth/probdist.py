@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, bit_keys, dense_size, enforce_cap
+from ._bits import DENSE_MAX_QUBITS, as_array, bit_keys, dense_size, enforce_cap
 from .errors import IqpError
 
 # Input sums are accepted within NORM_TOL of 1 and then renormalized exactly;
@@ -85,7 +85,7 @@ class ProbVector:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise IqpError(f"bit count must be nonnegative, got {self.n}")
-        probs = np.array(self.probs, dtype=np.float64, copy=True)
+        probs = as_array(self.probs, np.float64, "probabilities must be finite").copy()
         size = dense_size(self.n)
         if probs.ndim != 1 or probs.shape[0] != size:
             raise IqpError(f"expected {size} entries for n={self.n}, got shape {probs.shape}")
@@ -131,7 +131,7 @@ def validate(raw, n: int) -> ProbVector:
     """
     if n < 0:
         raise IqpError(f"bit count must be nonnegative, got {n}")
-    arr = np.array(raw, dtype=np.float64, copy=True)
+    arr = as_array(raw, np.float64, "entries must be finite").copy()
     size = dense_size(n)
     if arr.ndim != 1 or arr.shape[0] != size:
         raise IqpError(f"expected {size} entries for n={n}, got shape {arr.shape}")
@@ -183,14 +183,6 @@ def serialize_dist(p: ProbVector) -> str:
     return f'{{"n": {p.n}, "probs": {{{items}}}}}'
 
 
-def _floats(values: list, field: str) -> NDArray[np.float64]:
-    """JSON numbers as float64; an integer past the float range is an IqpError."""
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        raise IqpError(f'"{field}" holds an integer too large for a float') from None
-
-
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's members as a dict; a key given twice is an IqpError."""
     obj = dict(pairs)
@@ -226,7 +218,8 @@ def parse_dist(text: str) -> ProbVector:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in dense
         ):
             raise IqpError('"dense" must be a list of numbers')
-        return validate(_floats(dense, "dense"), n)
+        too_large = '"dense" holds an integer too large for a float'
+        return validate(as_array(dense, np.float64, too_large), n)
     probs = obj["probs"]
     if not isinstance(probs, dict):
         raise IqpError('"probs" must be an object keyed by bitstrings')
@@ -239,5 +232,5 @@ def parse_dist(text: str) -> ProbVector:
     if bad_key < len(keys):
         raise IqpError(f"key {keys[bad_key]!r} is not a {n}-bit string")
     arr = np.zeros(1 << n, dtype=np.float64)
-    arr[index] = _floats(values, "probs")
+    arr[index] = as_array(values, np.float64, '"probs" holds an integer too large for a float')
     return validate(arr, n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, enforce_cap, wht_inplace
+from ._bits import DENSE_MAX_QUBITS, as_array, dense_size, enforce_cap, wht_inplace
 from .errors import IqpError, OverCap
 from .probdist import ProbVector, validate
 from .synth import GateList, PhaseTable
@@ -48,9 +48,10 @@ class StateVector:
     amps: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=np.complex128, copy=True)
-        if amps.shape != (1 << self.qubits,):
-            raise IqpError(f"expected {1 << self.qubits} amplitudes, got shape {amps.shape}")
+        size = dense_size(self.qubits)
+        amps = as_array(self.amps, np.complex128, "amplitudes must be finite").copy()
+        if amps.shape != (size,):
+            raise IqpError(f"expected {size} amplitudes, got shape {amps.shape}")
         norm = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
             raise IqpError(f"squared norm {norm!r} is not 1 within {_NORM_TOL}")

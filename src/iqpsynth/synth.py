@@ -50,6 +50,7 @@ from numpy.typing import NDArray
 
 from ._bits import (
     DENSE_MAX_QUBITS,
+    as_array,
     bit_keys,
     canonical_angle,
     canonical_phase,
@@ -87,7 +88,7 @@ class PhaseTable:
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
             raise IqpError("qubit counts must be nonnegative")
-        theta = np.asarray(self.theta, dtype=np.float64).ravel()
+        theta = as_array(self.theta, np.float64, "phases must be finite").ravel()
         size = dense_size(self.m + self.n)
         if theta.shape[0] != size:
             raise IqpError(f"expected {size} phases, got {theta.shape[0]}")
@@ -135,8 +136,9 @@ def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
         raise IqpError(f"b1={b1} outside [0, {size})")
     if not 0 <= b2 < size:
         raise IqpError(f"b2={b2} outside [0, {size})")
-    if not math.isfinite(mass) or mass < -MASS_TOL or mass > 1.0 + MASS_TOL:
-        raise IqpError(f"mass {mass!r} outside [0, 1]")
+    bad_mass = f"mass {mass!r} outside [0, 1]"
+    if not -MASS_TOL <= as_array(mass, np.float64, bad_mass) <= 1.0 + MASS_TOL:  # nan fails
+        raise IqpError(bad_mass)
     enforce_cap(n, DENSE_MAX_QUBITS, "phase table")
     return PhaseTable(0, n, _pair_rows([b1], [b2], [mass], n))
 
@@ -148,6 +150,7 @@ def exact_phase_table(p: ProbVector) -> PhaseTable:
     gives each component one hidden row.  The marginal reproduces p up to
     float rounding in the decomposition, with no dyadic loss.
     """
+    enforce_cap(2 * p.n + 1, DENSE_MAX_QUBITS, "phase table")
     parts = decompose_2sparse(p)
     b1, b2 = parts.cols.T  # b2 is -1 where a component has one outcome
     b2 = np.where(b2 >= 0, b2, b1)
@@ -189,19 +192,17 @@ class GateList:
     def __post_init__(self) -> None:
         if self.total_qubits < 0:
             raise IqpError("qubit count must be nonnegative")
-        if not math.isfinite(self.global_phase):
+        if not np.isfinite(as_array(self.global_phase, np.float64, "global phase must be finite")):
             raise IqpError("global phase must be finite")
-        try:
-            masks = np.array(self.masks, dtype=np.int64)
-        except OverflowError:
-            raise IqpError(f"gate masks must lie in (0, 2**{self.total_qubits})") from None
-        angles = np.asarray(self.angles, dtype=np.float64)
+        outside = f"gate masks must lie in (0, 2**{self.total_qubits})"
+        masks = as_array(self.masks, np.int64, outside).copy()
+        angles = as_array(self.angles, np.float64, "gate angles must be finite")
         if masks.ndim != 1 or masks.shape != angles.shape:
             raise IqpError("gate masks and angles must be 1-D and of one length")
         if not masks.all():
             raise IqpError("gate supports must be nonempty")
         if masks.size and (masks.min() < 0 or int(masks.max()) >> self.total_qubits):
-            raise IqpError(f"gate masks must lie in (0, 2**{self.total_qubits})")
+            raise IqpError(outside)
         if (np.diff(np.sort(masks)) == 0).any():
             raise IqpError("duplicate gate support")
         if not np.all(np.isfinite(angles)):

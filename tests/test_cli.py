@@ -68,6 +68,14 @@ def test_verify_approx_reports_bound(dist_file, tmp_path, capsys):
     assert report["tv_realized"] <= report["tv_bound"]
     on_disk = json.loads(open(report_path).read())
     assert on_disk["passed"] is True
+    # --tolerance narrows the bound: both must hold
+    far = tmp_path / "far.json"
+    far.write_text('{"n": 2, "probs": {"00": 1.0}}')
+    tv = report["tv_realized"]
+    for target, tolerance, code in (
+        (dist_file, repr(tv), 0), (dist_file, repr(tv / 2), 1), (str(far), "1", 1),
+    ):
+        assert run(capsys, "verify", circuit, target, "--tolerance", tolerance)[0] == code
 
 
 def test_verify_fails_against_wrong_target(dist_file, tmp_path, capsys):
@@ -348,7 +356,8 @@ def test_oversized_synth_table_exits_3(tmp_path, capsys, monkeypatch):
     def build(*args):
         raise AssertionError("the table must be refused before it is built")
 
-    for name in ("exact_phase_table", "round_to_dyadic", "build_multiplicity_map"):
+    monkeypatch.setattr(synth, "decompose_2sparse", build)
+    for name in ("round_to_dyadic", "build_multiplicity_map"):
         monkeypatch.setattr(cli, name, build)
     pair = tmp_path / "pair.json"
     pair.write_text('{"n": 2, "probs": {"00": 0.5, "11": 0.5}}')
@@ -392,6 +401,11 @@ def test_approx_vacuous_bound_warning(tmp_path, capsys):
 def test_atomic_write_leaves_no_droppings(dist_file, tmp_path, capsys):
     circuit = tmp_path / "c.txt"
     run(capsys, "synth", dist_file, "-o", str(circuit))
+    # a failed rename (onto a directory) removes its temporary file too
+    (tmp_path / "out").mkdir()
+    code, out, err = run(capsys, "synth", dist_file, "-o", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".iqpsynth-")]
     assert leftovers == []
     assert circuit.exists()

@@ -1,5 +1,6 @@
 """Library refusals: the public constructors and functions raise only IqpError."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,22 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqpsynth import decompose, probdist, sim, synth
 from iqpsynth.decompose import Mixture, build_multiplicity_map, round_to_dyadic
 from iqpsynth.errors import IqpError
 from iqpsynth.probdist import ProbVector, validate
+from iqpsynth.sim import StateVector
 from iqpsynth.synth import (
     GateList,
     PhaseTable,
     approx_phase_table,
+    exact_phase_table,
     gates_to_phases,
     uma_phases_for_pair,
 )
 
 # Sizes, indices and masks; then masses and angles.  40 is past every dense
-# cap, 2**70 past int64, 5e-324 the smallest subnormal, and 1e308 overflows
-# once summed or doubled.
+# cap, 2**70 past int64, 5e-324 the smallest subnormal, 1e308 overflows
+# once summed or doubled, and 10**400 is an int past the float range.
 SIZES = st.sampled_from([-1, 0, 1, 2, 40, 2**70])
-REALS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 5e-324, 0.0, 0.5, 1.0])
+REALS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, 5e-324, 0.0, 0.5, 1.0, 10**400, -(10**400)]
+)
 
 
 def listed(elements):
@@ -51,6 +57,7 @@ QUARTERS = validate([0.25, 0.0, 0.5, 0.25], 2)
 CALLS = {
     "validate": (validate, st.tuples(listed(REALS), SIZES)),
     "ProbVector": (ProbVector, st.tuples(SIZES, listed(REALS))),
+    "StateVector": (StateVector, st.tuples(SIZES, listed(REALS))),
     "Mixture": (Mixture, mixtures()),
     "PhaseTable": (PhaseTable, st.tuples(SIZES, SIZES, listed(REALS))),
     "GateList": (GateList, st.tuples(SIZES, REALS, listed(SIZES), listed(REALS))),
@@ -58,6 +65,7 @@ CALLS = {
     "build_multiplicity_map": (
         build_multiplicity_map, st.tuples(st.sampled_from([TINY, QUARTERS]), SIZES)
     ),
+    "exact_phase_table": (exact_phase_table, st.tuples(st.sampled_from([TINY, QUARTERS]))),
     "approx_phase_table": (approx_phase_table, st.tuples(listed(SIZES), SIZES)),
     "uma_phases_for_pair": (uma_phases_for_pair, st.tuples(SIZES, SIZES, REALS, SIZES)),
     "gates_to_phases": (
@@ -79,6 +87,16 @@ def test_extreme_values_raise_only_iqp_error(name):
             assert str(exc)
 
     check()
+
+
+def test_every_checked_holder_is_driven():
+    holders = {
+        name
+        for module in (probdist, decompose, synth, sim)
+        for name, value in vars(module).items()
+        if dataclasses.is_dataclass(value) and "__post_init__" in vars(value)
+    }
+    assert holders and holders <= set(CALLS), sorted(holders - set(CALLS))
 
 
 @pytest.mark.parametrize("cols, masses", [

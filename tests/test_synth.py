@@ -337,6 +337,16 @@ def test_walsh_qubit_cap(monkeypatch):
         gates_to_phases(GateList(4, 0.0, [], []), 2)
 
 
+def test_exact_table_cap_comes_before_the_decomposition(monkeypatch):
+    def decompose(p):
+        raise AssertionError("the table must be refused before it is built")
+
+    monkeypatch.setattr(synth, "decompose_2sparse", decompose)
+    monkeypatch.setenv("IQP_MAX_QUBITS", "8")
+    with pytest.raises(OverCap, match="phase table needs 9 qubits, cap is 8"):
+        exact_phase_table(validate(np.full(16, 1 / 16), 4))
+
+
 def test_gates_to_phases_split_bounds():
     g = GateList(2, 0.0, [], [])
     with pytest.raises(IqpError, match=r"m=3 outside \[0, 2\]"):
@@ -436,6 +446,11 @@ def test_circuit_file_blocks_are_optional():
     assert np.array_equal(only_gates.gates.angles, g.angles)
     with pytest.raises(IqpError, match="nothing to serialize: no table and no gates"):
         serialize_circuit(1, 1)
+    for m, n in ((0, 2), (1, 2)):
+        with pytest.raises(IqpError, match="table sizes disagree with header"):
+            serialize_circuit(m, n, table=pt, gates=g)
+    with pytest.raises(IqpError, match="gate qubit count disagrees with header"):
+        serialize_circuit(1, 2, gates=g)
 
 
 def test_circuit_parser_accepts_comments_and_blanks():
