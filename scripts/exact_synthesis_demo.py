@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from iqpsynth.circuit import serialize_circuit
 from iqpsynth.decompose import decompose_2sparse
 from iqpsynth.probdist import format_float, parse_dist, tv_distance, validate
 from iqpsynth.sim import (
@@ -25,7 +26,7 @@ from iqpsynth.sim import (
     sample,
     simulate_gates,
 )
-from iqpsynth.synth import exact_phase_table, serialize_circuit, walsh_lower
+from iqpsynth.synth import exact_phase_table, walsh_lower
 
 
 def random_dist(n, seed):

@@ -7,17 +7,17 @@ plus `--lower` and `--format gates` where 2n+1 <= 15; approx mode with
 Prints the number of outputs and one sha256 over all per-output digests;
 two trees that print the same digest wrote the same bytes everywhere.
 A second line digests `iqpsynth simulate` output on every `--format gates`
-file, which pins the gate read path (parse_circuit, GateList,
+file, which pins the gate read path (circuit.parse_circuit, GateList,
 gates_to_phases, marginal_mixture) the same way.  A third digests the
 `iqpsynth decompose --check` certificate and its stderr line at
 --sparsity 2 and 3 on every corpus input, which pins the decomposition
 (allocate_3sparse, split_3_to_2) and the reconstruction check.  A fourth
 digests the `iqpsynth verify` report, without its timings, and
 `iqpsynth simulate` output on every file that carries PHASE lines, which
-pins the phase-table read path (parse_circuit, marginal_mixture) and the
-dense cross-check that verify runs.  A fifth digests the `masks` and
-`angles` bytes that `parse_circuit` reads from every `--lower` and
-`--format gates` file, which pins the XROT read path on its own, also
+pins the phase-table read path (circuit.parse_circuit, marginal_mixture)
+and the dense cross-check that verify runs.  A fifth digests the `masks`
+and `angles` bytes that `circuit.parse_circuit` reads from every `--lower`
+and `--format gates` file, which pins the XROT read path on its own, also
 where an XROT block is followed by PHASE lines.
 
 The five digests are pinned in PINNED.  After printing, the script exits 1
@@ -43,7 +43,7 @@ import numpy as np
 
 from iqpsynth.cli import main
 from iqpsynth.probdist import serialize_dist, validate
-from iqpsynth.synth import parse_circuit
+from iqpsynth.circuit import parse_circuit
 
 TEXTURES = ("dense", "spiky", "gappy", "ties", "point")
 

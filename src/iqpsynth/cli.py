@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from ._bits import DENSE_MAX_QUBITS, enforce_cap
+from .circuit import ParsedCircuit, parse_circuit, serialize_circuit
 from .decompose import (
     allocate_3sparse,
     build_multiplicity_map,
@@ -33,13 +34,10 @@ from .errors import InternalError, IqpError
 from .probdist import format_float, parse_dist, tv_distance
 from .sim import DEFAULT_SEED, check_sample_count, marginal_full, marginal_mixture, sample
 from .synth import (
-    ParsedCircuit,
     PhaseTable,
     approx_phase_table,
     exact_phase_table,
     gates_to_phases,
-    parse_circuit,
-    serialize_circuit,
     walsh_lower,
 )
 
@@ -182,9 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    check_sample_count(args.samples)
-    if args.seed < 0:
-        raise IqpError("--seed must be nonnegative")
+    check_sample_count(args.samples, args.seed)
     circ = parse_circuit(_read_text(args.circuit))
     marginal = marginal_mixture(_table_of(circ))
     lines = [

@@ -15,6 +15,7 @@ significant bit of the basis index.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -145,17 +146,21 @@ def simulate_gates(g: GateList) -> StateVector:
     return StateVector(total, amps * (np.exp(1j * g.global_phase) / math.sqrt(norm)))
 
 
-def check_sample_count(count: int) -> None:
-    """Refuse a negative count or one over SAMPLES_MAX, in the words of simulate --samples."""
-    if count < 0:
-        raise IqpError("--samples must be nonnegative")
-    if count > SAMPLES_MAX:
-        raise OverCap(f"--samples {count} is over the cap of {SAMPLES_MAX}")
+def check_sample_count(count: int, seed: int = DEFAULT_SEED) -> None:
+    """Refuse a count or seed that is not a nonnegative integer, or a count over
+    SAMPLES_MAX, in the words of simulate --samples and --seed; count first."""
+    for value, flag in ((count, "--samples"), (seed, "--seed")):
+        if not isinstance(value, numbers.Integral):
+            raise IqpError(f"{flag} must be an integer")
+        if value < 0:
+            raise IqpError(f"{flag} must be nonnegative")
+        if flag == "--samples" and value > SAMPLES_MAX:
+            raise OverCap(f"--samples {count} is over the cap of {SAMPLES_MAX}")
 
 
 def sample(p: ProbVector, count: int, seed: int = DEFAULT_SEED) -> list[str]:
     """Draw count outcome bitstrings from p, reproducibly for a given seed."""
-    check_sample_count(count)
+    check_sample_count(count, seed)
     if count == 0:
         return []
     rng = np.random.default_rng(seed)

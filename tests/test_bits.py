@@ -13,8 +13,9 @@ from iqpsynth._bits import (
     qubit_cap,
     wht_inplace,
 )
+from iqpsynth.circuit import parse_circuit, serialize_circuit
 from iqpsynth.errors import IqpError
-from iqpsynth.synth import GateList, parse_circuit, serialize_circuit
+from iqpsynth.synth import GateList
 
 from helpers import oracle_wht
 

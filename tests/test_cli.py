@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsynth import cli, synth
+from iqpsynth import circuit, cli, synth
 from iqpsynth.cli import main
 from iqpsynth.errors import InternalError, IqpError, OverCap
 from iqpsynth.probdist import ProbVector, parse_dist, serialize_dist, validate
@@ -66,7 +67,7 @@ def test_verify_approx_reports_bound(dist_file, tmp_path, capsys):
     assert report["mode"] == "approx"
     assert report["tv_bound"] == 0.5 * 2.0 ** (2 - 5)
     assert report["tv_realized"] <= report["tv_bound"]
-    on_disk = json.loads(open(report_path).read())
+    on_disk = json.loads(Path(report_path).read_text())
     assert on_disk["passed"] is True
     # --tolerance narrows the bound: both must hold
     far = tmp_path / "far.json"
@@ -126,7 +127,7 @@ def test_verify_infers_mode_without_annotation(dist_file, tmp_path, capsys):
     run(capsys, "synth", dist_file, "-o", circuit, "--mode", "approx", "--m", "4")
     lines = [
         line
-        for line in open(circuit).read().splitlines()
+        for line in Path(circuit).read_text().splitlines()
         if not line.startswith("# mode:")
     ]
     stripped = str(tmp_path / "anon.txt")
@@ -141,7 +142,7 @@ def test_gates_format_round_trips_through_verify(dist_file, tmp_path, capsys):
     circuit = str(tmp_path / "g.txt")
     code, _, _ = run(capsys, "synth", dist_file, "-o", circuit, "--format", "gates")
     assert code == 0
-    text = open(circuit).read()
+    text = Path(circuit).read_text()
     assert "GLOBALPHASE" in text and "XROT" in text
     assert not any(line.startswith("PHASE") for line in text.splitlines())
     code, out, _ = run(capsys, "verify", circuit, dist_file)
@@ -153,7 +154,7 @@ def test_gates_format_round_trips_through_verify(dist_file, tmp_path, capsys):
 def test_lower_flag_emits_both_blocks(dist_file, tmp_path, capsys):
     circuit = str(tmp_path / "b.txt")
     run(capsys, "synth", dist_file, "-o", circuit, "--lower")
-    text = open(circuit).read()
+    text = Path(circuit).read_text()
     assert "XROT" in text and "PHASE" in text
 
 
@@ -168,7 +169,7 @@ def test_simulate_prints_marginal_and_samples(dist_file, tmp_path, capsys):
     for line in lines[:4]:
         bits, value = line.split()
         marginal[bits] = float(value)
-    target = parse_dist(open(dist_file).read())
+    target = parse_dist(Path(dist_file).read_text())
     got = np.array([marginal[target.bitstring(j)] for j in range(4)])
     assert np.abs(got - target.probs).max() <= 1e-9
     assert all(len(s) == 2 and set(s) <= {"0", "1"} for s in lines[4:])
@@ -238,13 +239,13 @@ def test_plain_path_reads_every_phase_and_xrot_line(mode, n, tmp_path, capsys):
     counts = {"_phase_grid": [], "_plain": []}
 
     def spy(name):
-        reader = getattr(synth._CircuitReader, name)
+        reader = getattr(circuit._CircuitReader, name)
 
         def read(self, *args):
             counts[name].append(reader(self, *args))
             return counts[name][-1]
 
-        return mock.patch.object(synth._CircuitReader, name, read)
+        return mock.patch.object(circuit._CircuitReader, name, read)
 
     gates = []
     for form in ([], ["--format", "gates"], ["--lower"]):
@@ -253,7 +254,7 @@ def test_plain_path_reads_every_phase_and_xrot_line(mode, n, tmp_path, capsys):
         for found in counts.values():
             found.clear()
         with spy("_phase_grid"), spy("_plain"):
-            circ = synth.parse_circuit(text)
+            circ = circuit.parse_circuit(text)
         lines = text.splitlines()
         for name, keyword in (("_phase_grid", "PHASE "), ("_plain", "XROT ")):
             runs = sum(line.startswith(keyword) for line in lines)
@@ -271,7 +272,7 @@ def test_decompose_certificate(dist_file, tmp_path, capsys):
     code, _, err = run(capsys, "decompose", dist_file, "-o", cert_path, "--check")
     assert code == 0
     assert "max reconstruction error" in err
-    cert = json.loads(open(cert_path).read())
+    cert = json.loads(Path(cert_path).read_text())
     assert cert["n"] == 2
     assert len(cert["components"]) == 8
     mix = np.zeros(4)
@@ -279,7 +280,7 @@ def test_decompose_certificate(dist_file, tmp_path, capsys):
         assert len(comp["probs"]) <= 2
         for bits, value in comp["probs"].items():
             mix[int(bits, 2)] += comp["weight"] * value
-    target = parse_dist(open(dist_file).read())
+    target = parse_dist(Path(dist_file).read_text())
     assert np.abs(mix - target.probs).max() <= 1e-12
 
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsynth import decompose, probdist, sim, synth
+from iqpsynth import circuit, decompose, probdist, sim, synth
 from iqpsynth.decompose import Mixture, build_multiplicity_map, round_to_dyadic
 from iqpsynth.errors import IqpError
 from iqpsynth.probdist import ProbVector, validate
-from iqpsynth.sim import StateVector
+from iqpsynth.sim import StateVector, sample
 from iqpsynth.synth import (
     GateList,
     PhaseTable,
@@ -71,6 +71,7 @@ CALLS = {
     "gates_to_phases": (
         gates_to_phases, st.tuples(st.just(GateList(2, 0.5, [1, 3], [0.25, -1.0])), SIZES)
     ),
+    "sample": (sample, st.tuples(st.sampled_from([TINY, QUARTERS]), SIZES | REALS, SIZES | REALS)),
 }
 
 
@@ -92,7 +93,7 @@ def test_extreme_values_raise_only_iqp_error(name):
 def test_every_checked_holder_is_driven():
     holders = {
         name
-        for module in (probdist, decompose, synth, sim)
+        for module in (probdist, decompose, synth, circuit, sim)
         for name, value in vars(module).items()
         if dataclasses.is_dataclass(value) and "__post_init__" in vars(value)
     }

@@ -38,6 +38,10 @@ def test_benchmark_spans_resolve(monkeypatch):
     for module, name, _ in spans.PATCHES:
         target = getattr(importlib.import_module(f"iqpsynth.{module}"), name, None)
         assert callable(target), f"iqpsynth.{module}.{name}"
+    # the spans labelled synth.serialize_circuit and synth.parse_circuit time the codec
+    cli = importlib.import_module("iqpsynth.cli")
+    for name in ("parse_circuit", "serialize_circuit"):
+        assert getattr(cli, name).__module__ == "iqpsynth.circuit", name
 
 
 def test_corpus_gate_names_each_digest_off_its_pin(monkeypatch, capsys):

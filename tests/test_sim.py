@@ -209,6 +209,20 @@ def test_sample_deterministic_and_supported():
     assert sample(p, 0) == []
     c = sample(p, 200, seed=1)
     assert a != c
+    assert sample(p, np.int64(200), np.uint8(1)) == c  # numpy integers are integers
+
+
+@pytest.mark.parametrize("count, seed, message", [
+    (2, -1, "--seed must be nonnegative"),
+    (2, 1.5, "--seed must be an integer"),
+    (-1, 0, "--samples must be nonnegative"),
+    (1.5, 0, "--samples must be an integer"),
+    (math.nan, 0, "--samples must be an integer"),
+    (-1, -1, "--samples must be nonnegative"),  # the count first, as simulate checks it
+])
+def test_sample_refuses_bad_count_or_seed(count, seed, message):
+    with pytest.raises(IqpError, match=f"^{message}$"):
+        sample(validate([0.5, 0.5], 1), count, seed)
 
 
 def test_sample_frozen_counts():

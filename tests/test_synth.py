@@ -1,8 +1,10 @@
 """Phase-table synthesis, gate lowering, and the circuit file format."""
 
+import ast
 import math
 import re
 from itertools import accumulate
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsynth import synth
+from iqpsynth import circuit, synth
 from iqpsynth._bits import canonical_phase, parity
+from iqpsynth.circuit import parse_circuit, serialize_circuit
 from iqpsynth.decompose import (
     build_multiplicity_map,
     decompose_2sparse,
@@ -32,8 +35,6 @@ from iqpsynth.synth import (
     approx_phase_table,
     exact_phase_table,
     gates_to_phases,
-    parse_circuit,
-    serialize_circuit,
     uma_phases_for_pair,
     walsh_lower,
 )
@@ -353,6 +354,15 @@ def test_gates_to_phases_split_bounds():
         gates_to_phases(g, 3)
 
 
+def test_codec_names_live_in_circuit_alone():
+    # a codec name that synth also held would be a second import path to it
+    tree = ast.parse(Path(circuit.__file__).read_text())
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    assert {"parse_circuit", "_CircuitReader", "_CHUNK_ROWS"} <= defined
+    assert not defined & set(vars(synth))
+
+
 def round_trip(m, n, table=None, gates=None, mode=None):
     return parse_circuit(serialize_circuit(m, n, table=table, gates=gates, mode=mode))
 
@@ -387,7 +397,7 @@ def test_gate_lines_match_a_per_gate_writer(data):
     )
     g = GateList(total, float(rng.normal()), rng.permutation(masks), angles)
     # several blocks of lines per gate list
-    with mock.patch.object(synth, "_CHUNK_ROWS", data.draw(st.integers(1, 300))):
+    with mock.patch.object(circuit, "_CHUNK_ROWS", data.draw(st.integers(1, 300))):
         text = serialize_circuit(m, total - m, gates=g)
     reference = [f"HEADER m={m} n={total - m}", f"GLOBALPHASE {g.global_phase:.17g}"]
     for mask, angle in zip(g.masks.tolist(), g.angles.tolist()):
@@ -430,9 +440,9 @@ def test_phase_lines_match_a_per_line_writer(total):
     assert_same_lines(text, f"HEADER m={m} n={total - m}\n" + reference(size))
     # row counts on both sides of the block edge, full blocks first
     for rows in sorted({1, 4095, 4096, 4097, 8191, 8193, size} & set(range(1, size + 1))):
-        blocks = list(synth._phase_blocks(theta[:rows], total))
+        blocks = list(circuit._phase_blocks(theta[:rows], total))
         assert_same_lines("".join(blocks), reference(rows))
-        assert [b.count("\n") for b in blocks[:-1]] == [synth._CHUNK_ROWS] * (len(blocks) - 1)
+        assert [b.count("\n") for b in blocks[:-1]] == [circuit._CHUNK_ROWS] * (len(blocks) - 1)
 
 
 def test_circuit_file_blocks_are_optional():
@@ -518,7 +528,7 @@ def big_circuit_lines(keyword="PHASE"):
         text = serialize_circuit(8, 6, table=pt, mode="exact")
     else:
         text = serialize_circuit(8, 6, gates=walsh_lower(pt), mode="exact")
-    assert len(text) > 3 * synth._CHUNK_CHARS
+    assert len(text) > 3 * circuit._CHUNK_CHARS
     return text.splitlines(keepends=True)
 
 
@@ -538,7 +548,7 @@ def test_block_parser_errors_across_chunks():
     assert parse_error(dup) == f"line {deep + 1}: duplicate PHASE for {bits!r}"
     # a bad bitstring on each PHASE line around the ends of the first three
     # blocks: the head, which is a block of its own, and two PHASE blocks
-    ends = list(accumulate(block.count("\n") for block in synth._chunks("".join(lines))))
+    ends = list(accumulate(block.count("\n") for block in circuit._chunks("".join(lines))))
     assert ends[0] == 2
     probes = [i for end in ends[:3] for i in range(end - 1, end + 2)]
     for index in [i for i in probes if lines[i].startswith("PHASE ")]:
@@ -570,8 +580,8 @@ def parsed(text):
 def parsed_by_lines(text):
     """parsed(text) with every block read line by line."""
     with (
-        mock.patch.object(synth._CircuitReader, "_plain", return_value=None),
-        mock.patch.object(synth._CircuitReader, "_phase_grid", return_value=None),
+        mock.patch.object(circuit._CircuitReader, "_plain", return_value=None),
+        mock.patch.object(circuit._CircuitReader, "_phase_grid", return_value=None),
     ):
         return parsed(text)
 
@@ -583,13 +593,13 @@ WHOLE_BLOCK = {"PHASE": "_phase_grid", "XROT": "_plain"}
 def whole_block_counts(keyword, text):
     """parsed(text), and what the whole-block reader of keyword returned per block."""
     counts = []
-    reader = getattr(synth._CircuitReader, WHOLE_BLOCK[keyword])
+    reader = getattr(circuit._CircuitReader, WHOLE_BLOCK[keyword])
 
     def spy(self, *args):
         counts.append(reader(self, *args))
         return counts[-1]
 
-    with mock.patch.object(synth._CircuitReader, WHOLE_BLOCK[keyword], spy):
+    with mock.patch.object(circuit._CircuitReader, WHOLE_BLOCK[keyword], spy):
         return parsed(text), counts
 
 
@@ -599,7 +609,7 @@ def test_plain_blocks_read_as_lines_do(keyword):
     text = "".join(lines)
     canonical, stored = whole_block_counts(keyword, text)
     # the head is a block of its own, and every PHASE or XROT block is read whole
-    assert len(stored) == len(list(synth._chunks(text))) - 1 >= 3 and None not in stored
+    assert len(stored) == len(list(circuit._chunks(text))) - 1 >= 3 and None not in stored
     assert sum(stored) == sum(line.startswith(keyword + " ") for line in lines)
     assert canonical == parsed_by_lines(text)
 
@@ -740,7 +750,7 @@ def test_phase_grid_reads_any_block_as_lines_do(data):
     end = data.draw(st.sampled_from(["\n", "\n", "\n", "\n", "", "\n\n", "\nP\n"]))
     text = f"HEADER m=0 n={total}\n" + "".join(lines)[:-1] + end
     # blocks of a few lines each, so that keys repeat across blocks
-    with mock.patch.object(synth, "_CHUNK_CHARS", data.draw(st.integers(1, 200))):
+    with mock.patch.object(circuit, "_CHUNK_CHARS", data.draw(st.integers(1, 200))):
         assert parsed(text) == parsed_by_lines(text)
 
 
@@ -806,7 +816,7 @@ def test_qubit_lists_read_as_one_buffer_match_a_line_reader(total, data):
             odd = st.sampled_from(["", "q", "x1", "1", "qq1", "q1q", "q\u0661", "q-1", "q 1"])
             tokens[at] = data.draw(odd | st.text("q019x,\u0661", max_size=4))
         lists.append(",".join(tokens))
-    masks, error = synth._qubit_masks(lists, total)
+    masks, error = circuit._qubit_masks(lists, total)
     assert (masks.tolist(), error) == masks_by_lines(lists, total)
 
 
@@ -850,7 +860,7 @@ def test_circuit_parser_reads_any_layout(data):
     text = "\n".join([f"HEADER m={m} n={n}", *lines]) + "\n"
 
     # blocks of a few lines each, so that every layout spans block boundaries
-    with mock.patch.object(synth, "_CHUNK_CHARS", data.draw(st.integers(1, 80))):
+    with mock.patch.object(circuit, "_CHUNK_CHARS", data.draw(st.integers(1, 80))):
         circ = parse_circuit(text)
     assert (circ.m, circ.n, circ.mode) == (m, n, mode)
     if phases:
