@@ -19,13 +19,7 @@ import numpy as np
 from iqpsynth.circuit import serialize_circuit
 from iqpsynth.decompose import decompose_2sparse
 from iqpsynth.probdist import format_float, parse_dist, tv_distance, validate
-from iqpsynth.sim import (
-    apply_hadamard_layer,
-    full_statevector,
-    marginal_mixture,
-    sample,
-    simulate_gates,
-)
+from iqpsynth.sim import iqp_state, marginal_mixture, sample, simulate_gates
 from iqpsynth.synth import exact_phase_table, walsh_lower
 
 
@@ -68,7 +62,7 @@ def main(argv=None):
     if args.lower:
         g = walsh_lower(pt)
         print(f"\nlowered to {len(g)} X-rotation gates")
-        diag = apply_hadamard_layer(full_statevector(pt), range(pt.m + pt.n))
+        diag = iqp_state(pt)
         gate = simulate_gates(g)
         print(f"gate path amplitude error = "
               f"{format_float(float(np.abs(gate.amps - diag.amps).max()))}")

@@ -81,11 +81,19 @@ def _read_text(path: str) -> str:
 
 
 def _table_of(circ: ParsedCircuit) -> PhaseTable:
-    if circ.table is not None:
+    """The file's phase table; a file with both blocks is refused unless its
+    gates, raised to a table, give the PHASE block's visible marginal."""
+    if circ.gates is None:
+        if circ.table is None:
+            raise IqpError("circuit file carries neither phases nor gates")
         return circ.table
-    if circ.gates is not None:
-        return gates_to_phases(circ.gates, circ.m)
-    raise IqpError("circuit file carries neither phases nor gates")
+    raised = gates_to_phases(circ.gates, circ.m)
+    if circ.table is None:
+        return raised
+    gap = np.abs(marginal_mixture(circ.table).probs - marginal_mixture(raised).probs)
+    if float(gap.max()) > 1e-12:
+        raise IqpError("PHASE and XROT blocks disagree")
+    return circ.table
 
 
 def _looks_parity(table: PhaseTable) -> bool:

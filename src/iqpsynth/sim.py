@@ -1,12 +1,14 @@
 """Exact simulation of phase tables and gate lists, plus sampling.
 
-Two independent routes to the visible marginal exist on purpose.
-marginal_full materializes the whole (m+n)-qubit state, applies the final
-Hadamard layer, and traces out the hidden register.  marginal_mixture
-never builds the joint state: each hidden value contributes one n-qubit
-row whose transform is a Walsh pass, and the rows average into the
-marginal.  The two must agree to near machine precision on every input;
-disagreement means a bug, not noise.
+Two independent routes to the visible marginal exist on purpose, and they
+share only the one Walsh kernel, _bits.wht_inplace; a Hadamard layer on
+every qubit is that transform, so no separate Hadamard routine exists.
+marginal_full builds the whole (m+n)-qubit state with iqp_state, one
+transform of exp(i*theta), and traces out the hidden register.
+marginal_mixture never builds the joint state: each hidden value
+contributes one n-qubit row whose transform is a Walsh pass, and the rows
+average into the marginal.  The two must agree to near machine precision
+on every input; disagreement means a bug, not noise.
 
 Statevector indexing follows the package convention: qubit 0 is the most
 significant bit of the basis index.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,36 +61,23 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
-def full_statevector(pt: PhaseTable) -> StateVector:
-    """Joint state after the diagonal layer: 2**(-(m+n)/2) * exp(i*theta)."""
+def iqp_state(pt: PhaseTable) -> StateVector:
+    """The circuit's joint state, H^(m+n) exp(i*theta) H^(m+n) |0...0>.
+
+    The first Hadamard layer makes the uniform superposition, so the state
+    is one Walsh transform of exp(i*theta), scaled by 2**-(m+n).
+    """
     total = pt.m + pt.n
     enforce_cap(total, DENSE_MAX_QUBITS, "dense state")
-    amps = np.exp(1j * pt.theta) * (2.0 ** (-0.5 * total))
+    amps = wht_inplace(np.exp(1j * pt.theta))
+    amps *= 2.0**-total
     return StateVector(total, amps)
 
 
-def apply_hadamard_layer(state: StateVector, targets: Iterable[int]) -> StateVector:
-    """Apply a Hadamard to each target qubit of a statevector."""
-    q = state.qubits
-    targets = tuple(int(t) for t in targets)
-    if len(set(targets)) != len(targets):
-        raise IqpError("duplicate target qubit")
-    if any(t < 0 or t >= q for t in targets):
-        raise IqpError(f"target outside [0, {q})")
-    amps = state.amps.copy()
-    for t in targets:
-        lo, hi = amps.reshape(1 << t, 2, -1).swapaxes(0, 1)  # qubit t: bit q-1-t of the index
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-    amps *= 2.0 ** (-0.5 * len(targets))
-    return StateVector(q, amps)
-
-
 def marginal_full(pt: PhaseTable) -> ProbVector:
-    """Visible marginal via the joint state and a full Hadamard layer."""
-    state = apply_hadamard_layer(full_statevector(pt), range(pt.m + pt.n))
-    joint = state.amps.real**2 + state.amps.imag**2
+    """Visible marginal via the joint state, tracing out the hidden register."""
+    amps = iqp_state(pt).amps
+    joint = amps.real**2 + amps.imag**2
     probs = joint.reshape(1 << pt.m, 1 << pt.n).sum(axis=0)
     return validate(probs, pt.n)
 

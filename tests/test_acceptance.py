@@ -29,8 +29,7 @@ from iqpsynth.decompose import (
 from iqpsynth.probdist import serialize_dist, tv_distance, validate
 from iqpsynth.sim import (
     StateVector,
-    apply_hadamard_layer,
-    full_statevector,
+    iqp_state,
     marginal_full,
     marginal_mixture,
     simulate_gates,
@@ -181,9 +180,7 @@ def test_criterion_4_two_sparse_decomposition():
 
 
 def _measure_row(row) -> np.ndarray:
-    amps = np.exp(1j * row.theta) * 2.0 ** (-0.5 * row.n)
-    state = apply_hadamard_layer(StateVector(row.n, amps), range(row.n))
-    return np.abs(state.amps) ** 2
+    return np.abs(iqp_state(row).amps) ** 2
 
 
 def test_criterion_5_two_outcome_rows():
@@ -252,7 +249,7 @@ def test_criterion_7_gate_paths():
         n = total - m
         pt = PhaseTable(m, n, rng.uniform(0.0, 2.0 * np.pi, 1 << total))
         g = walsh_lower(pt)
-        reference = apply_hadamard_layer(full_statevector(pt), range(total))
+        reference = iqp_state(pt)
         from_gates = simulate_gates(g)
         overlap = abs(complex(np.vdot(reference.amps, from_gates.amps)))
         assert overlap >= 1.0 - 1e-9

@@ -158,6 +158,20 @@ def test_lower_flag_emits_both_blocks(dist_file, tmp_path, capsys):
     assert "XROT" in text and "PHASE" in text
 
 
+def test_lowered_file_with_a_perturbed_gate_is_refused(dist_file, tmp_path, capsys):
+    circuit = tmp_path / "b.txt"
+    run(capsys, "synth", dist_file, "-o", str(circuit), "--lower")
+    assert run(capsys, "verify", str(circuit), dist_file)[0] == 0
+    lines = circuit.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("XROT "))
+    _, angle, qubits = lines[i].split()
+    lines[i] = f"XROT {float(angle) + 0.3!r} {qubits}\n"
+    circuit.write_text("".join(lines))
+    message = "error: PHASE and XROT blocks disagree\n"
+    assert run(capsys, "verify", str(circuit), dist_file) == (2, "", message)
+    assert run(capsys, "simulate", str(circuit)) == (2, "", message)
+
+
 def test_simulate_prints_marginal_and_samples(dist_file, tmp_path, capsys):
     circuit = str(tmp_path / "c.txt")
     run(capsys, "synth", dist_file, "-o", circuit)
@@ -695,6 +709,8 @@ REFUSALS = [
              "line 3: duplicate XROT support"),
     _refusal("header-only", "verify in d.json", HEADER_1, 2,
              "circuit file carries neither phases nor gates"),
+    _refusal("blocks-disagree", "simulate in", HEADER_1 + "XROT 0.3 q0\nPHASE 1 0\n", 2,
+             "PHASE and XROT blocks disagree"),
     _refusal("dimension-clash", "verify c.txt d2.json", None, 2,
              "distribution is over 2 bits, circuit header says 1"),
     # the caps
@@ -706,6 +722,9 @@ REFUSALS = [
              "phase table needs 41 qubits, cap is 24"),
     _refusal("lowering-cap", "synth in --format gates", '{"n": 8, "probs": {"00000000": 1}}',
              3, "lowering needs 17 qubits, cap is 16"),
+    _refusal("two-block-raising-cap", "simulate in",
+             "HEADER m=9 n=8\nXROT 0.5 q0\nPHASE " + "0" * 17 + " 0.5\n", 3,
+             "raising needs 17 qubits, cap is 16"),
     _refusal("lowered-cap", "synth d.json", None, 3, "phase table needs 3 qubits, cap is 2",
              _qubit_cap("2")),
     _refusal("sample-cap", "simulate c.txt --samples 16777217", None, 3,

@@ -1,7 +1,9 @@
-"""The example scripts and the benchmark's tracer still fit the package API."""
+"""The example scripts, the README's library example and the benchmark's tracer
+still fit the package API."""
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +29,13 @@ def test_scripts_run(capsys):
     assert len(rows) == 4  # n in 1..2, m in n..n+1
     for n, m, bound, worst, _ in rows:
         assert float(worst) <= float(bound), (n, m)
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_benchmark_spans_resolve(monkeypatch):

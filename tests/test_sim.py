@@ -14,8 +14,7 @@ from iqpsynth.probdist import validate
 from iqpsynth.sim import (
     DEFAULT_SEED,
     StateVector,
-    apply_hadamard_layer,
-    full_statevector,
+    iqp_state,
     marginal_full,
     marginal_mixture,
     sample,
@@ -38,77 +37,33 @@ def test_statevector_validation():
         StateVector(2, np.array([1.0, 0.0]))
 
 
-def test_full_statevector_is_uniform_phase_ramp():
-    flat = full_statevector(PhaseTable(0, 1, np.zeros(2)))
-    assert np.array_equal(flat.amps, np.array([2.0**-0.5, 2.0**-0.5]))
-    signed = full_statevector(PhaseTable(0, 1, [0.0, np.pi]))
-    assert np.allclose(signed.amps, [2.0**-0.5, -(2.0**-0.5)], atol=1e-16)
-    pt = PhaseTable(1, 2, np.linspace(0.0, 6.0, 8))
-    mags = np.abs(full_statevector(pt).amps)
-    assert np.allclose(mags, 2.0**-1.5, atol=1e-15)
-
-
 def test_hadamard_layer_undoes_trivial_diagonal():
     # H, identity diagonal, H returns the all-zeros state
-    out = apply_hadamard_layer(full_statevector(PhaseTable(1, 2, np.zeros(8))), range(3))
+    out = iqp_state(PhaseTable(1, 2, np.zeros(8)))
     want = np.zeros(8, dtype=np.complex128)
     want[0] = 1.0
     assert np.abs(out.amps - want).max() <= 1e-15
 
 
 def test_hadamard_layer_single_qubit_convention():
-    # qubit 0 is the most significant bit of the index
-    state = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    on_q0 = apply_hadamard_layer(state, [0])
-    assert np.allclose(on_q0.amps, [1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), 0.0])
-    on_q1 = apply_hadamard_layer(state, [1])
-    assert np.allclose(on_q1.amps, [1 / math.sqrt(2), 1 / math.sqrt(2), 0.0, 0.0])
+    # qubit 0 is the most significant bit of the index: the parity phases
+    # pi * (x_0 + x_1) over 3 qubits send |000> to |110>, index 6
+    x = np.arange(8)
+    out = iqp_state(PhaseTable(0, 3, np.pi * ((x >> 2 & 1) ^ (x >> 1 & 1))))
+    want = np.zeros(8, dtype=np.complex128)
+    want[0b110] = 1.0
+    assert np.abs(out.amps - want).max() <= 1e-15
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_hadamard_layer_matches_kron_oracle(q, seed):
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_hadamard_layer_matches_kron_oracle(m, n, seed):
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
-    raw /= np.linalg.norm(raw)
-    state = StateVector(q, raw)
-    got = apply_hadamard_layer(state, range(q))
-    assert np.abs(got.amps - oracle_hadamard_all(raw, q)).max() <= 1e-12
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_hadamard_layer_is_an_involution(q, seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
-    raw /= np.linalg.norm(raw)
-    state = StateVector(q, raw)
-    twice = apply_hadamard_layer(apply_hadamard_layer(state, range(q)), range(q))
-    assert np.abs(twice.amps - raw).max() <= 1e-12
-
-
-def test_hadamard_layer_matches_kron_on_any_targets():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    rng = np.random.default_rng(11)
-    for q in range(5):
-        for chosen in range(1 << q):
-            targets = [t for t in range(q) if chosen >> t & 1]
-            matrix = np.array([[1.0]])
-            for t in range(q):  # qubit 0 is the first kron factor
-                matrix = np.kron(matrix, h if t in targets else np.eye(2))
-            raw = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
-            raw /= np.linalg.norm(raw)
-            for order in (targets, targets[::-1]):
-                got = apply_hadamard_layer(StateVector(q, raw), order)
-                assert np.abs(got.amps - matrix @ raw).max() <= 1e-15
-
-
-def test_hadamard_layer_target_validation():
-    state = StateVector(1, np.array([1.0, 0.0]))
-    with pytest.raises(IqpError, match="duplicate target qubit"):
-        apply_hadamard_layer(state, [0, 0])
-    with pytest.raises(IqpError, match=r"target outside \[0, 1\)"):
-        apply_hadamard_layer(state, [1])
+    pt = random_table(rng, m, n)
+    q = m + n
+    diagonal = np.exp(1j * pt.theta) * 2.0 ** (-0.5 * q)
+    want = oracle_hadamard_all(diagonal, q)
+    assert np.abs(iqp_state(pt).amps - want).max() <= 1e-12
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -170,7 +125,7 @@ def test_simulate_gates_rescales_rounding_drift():
     q = 13
     g = GateList(q, 0.0, np.arange(1, 1 << q), np.full((1 << q) - 1, 0.560257))
     got = simulate_gates(g)
-    want = apply_hadamard_layer(full_statevector(gates_to_phases(g)), range(q))
+    want = iqp_state(gates_to_phases(g))
     assert np.abs(got.amps - want.amps).max() <= 1e-9
 
 
@@ -191,7 +146,7 @@ def test_gate_order_is_irrelevant(m, n, seed):
 def test_qubit_caps(monkeypatch):
     monkeypatch.setenv("IQP_MAX_QUBITS", "2")
     with pytest.raises(OverCap, match="dense state needs 3 qubits, cap is 2"):
-        full_statevector(PhaseTable(2, 1, np.zeros(8)))
+        iqp_state(PhaseTable(2, 1, np.zeros(8)))
     with pytest.raises(OverCap, match="mixture walk needs 3 qubits, cap is 2"):
         marginal_mixture(PhaseTable(2, 1, np.zeros(8)))
     with pytest.raises(OverCap, match="gate simulation needs 3 qubits, cap is 2"):

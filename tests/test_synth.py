@@ -22,13 +22,7 @@ from iqpsynth.decompose import (
 )
 from iqpsynth.errors import IqpError, OverCap
 from iqpsynth.probdist import format_float, tv_distance, validate
-from iqpsynth.sim import (
-    StateVector,
-    apply_hadamard_layer,
-    full_statevector,
-    marginal_mixture,
-    simulate_gates,
-)
+from iqpsynth.sim import iqp_state, marginal_mixture, simulate_gates
 from iqpsynth.synth import (
     GateList,
     PhaseTable,
@@ -42,14 +36,8 @@ from iqpsynth.synth import (
 from helpers import is_uma, random_dist
 
 
-def row_state(row):
-    amps = np.exp(1j * row.theta) * 2.0 ** (-0.5 * row.n)
-    return StateVector(row.n, amps)
-
-
 def measured(row):
-    out = apply_hadamard_layer(row_state(row), range(row.n))
-    return np.abs(out.amps) ** 2
+    return np.abs(iqp_state(row).amps) ** 2
 
 
 def test_uma_frozen_half_half():
@@ -105,7 +93,7 @@ def test_uma_validation():
 def test_uma_support_and_mass(args):
     n, b1, b2, mass = args
     row = uma_phases_for_pair(b1, b2, mass, n)
-    assert is_uma(row_state(row).amps, tol=1e-12)
+    assert is_uma(np.exp(1j * row.theta) * 2.0 ** (-0.5 * n), tol=1e-12)
     probs = measured(row)
     off = [p for b, p in enumerate(probs) if b not in (b1, b2)]
     assert max(off, default=0.0) <= 1e-12
@@ -133,9 +121,7 @@ def test_exact_table_property(n, seed):
     pt = exact_phase_table(p)
     # every hidden row should land on at most two visible outcomes
     for row in pt.theta.reshape(1 << pt.m, 1 << n):
-        amps = np.exp(1j * row) * 2.0 ** (-0.5 * n)
-        out = apply_hadamard_layer(StateVector(n, amps), range(n))
-        assert np.sum(np.abs(out.amps) ** 2 > 1e-12) <= 2
+        assert np.sum(measured(PhaseTable(0, n, row)) > 1e-12) <= 2
     assert tv_distance(marginal_mixture(pt), p) <= 1e-12
 
 
@@ -317,8 +303,7 @@ def test_walsh_is_linear(m, n, seed):
 def test_gate_path_equals_table_path(m, n, seed):
     rng = np.random.default_rng(seed)
     pt = PhaseTable(m, n, rng.uniform(0.0, 2.0 * np.pi, 1 << (m + n)))
-    total = m + n
-    want = apply_hadamard_layer(full_statevector(pt), range(total))
+    want = iqp_state(pt)
     got = simulate_gates(walsh_lower(pt))
     assert np.abs(got.amps - want.amps).max() <= 1e-9
 
