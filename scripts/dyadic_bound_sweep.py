@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from iqpsynth.decompose import round_to_dyadic
+from iqpsynth.decompose import dyadic_tv_bound, round_to_dyadic
 from iqpsynth.probdist import tv_distance, validate
 
 
@@ -40,7 +40,7 @@ def main(argv=None):
     print(f"{'n':>3} {'m':>3} {'bound':>12} {'worst tv':>12} {'ratio':>8}")
     for n in range(1, args.n_max + 1):
         for m in range(n, n + args.extra_max + 1):
-            bound = 0.5 * 2.0 ** (n - m)
+            bound = dyadic_tv_bound(n, m)
             worst = worst_case(n, m, args.trials, rng)
             print(f"{n:>3} {m:>3} {bound:>12.6g} {worst:>12.6g} "
                   f"{worst / bound:>8.3f}")

@@ -27,11 +27,12 @@ from .decompose import (
     allocate_3sparse,
     build_multiplicity_map,
     decompose_2sparse,
+    dyadic_tv_bound,
     round_to_dyadic,
     rows_to_dists,
 )
 from .errors import InternalError, IqpError
-from .probdist import format_float, parse_dist, tv_distance
+from .probdist import ProbVector, format_float, parse_dist, tv_distance
 from .sim import DEFAULT_SEED, check_sample_count, marginal_full, marginal_mixture, sample
 from .synth import (
     PhaseTable,
@@ -41,10 +42,6 @@ from .synth import (
     walsh_lower,
 )
 
-# Phases this close to 0 or pi still count as a parity table when guessing
-# whether an unannotated circuit came from the approximate path.
-PARITY_TOL = 1e-12
-
 DEFAULT_EXACT_TOL = 1e-9
 
 # The full-state cross-check runs only when it is cheap.
@@ -52,16 +49,20 @@ CROSSCHECK_MAX_QUBITS = 20
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write atomically: a torn run never leaves a partial file behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".iqpsynth-")
+    """Write atomically, so a torn run never leaves a partial file behind; an
+    OSError names path, never the temporary file beside it."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".iqpsynth-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,28 +81,22 @@ def _read_text(path: str) -> str:
             raise IqpError(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
-def _table_of(circ: ParsedCircuit) -> PhaseTable:
-    """The file's phase table; a file with both blocks is refused unless its
-    gates, raised to a table, give the PHASE block's visible marginal."""
+def _table_of(circ: ParsedCircuit) -> tuple[PhaseTable, ProbVector]:
+    """The file's phase table and its visible marginal; a file with both
+    blocks is refused unless its gates, raised to a table, give the PHASE
+    block's marginal."""
     if circ.gates is None:
         if circ.table is None:
             raise IqpError("circuit file carries neither phases nor gates")
-        return circ.table
+        return circ.table, marginal_mixture(circ.table)
     raised = gates_to_phases(circ.gates, circ.m)
+    marginal = marginal_mixture(raised)
     if circ.table is None:
-        return raised
-    gap = np.abs(marginal_mixture(circ.table).probs - marginal_mixture(raised).probs)
-    if float(gap.max()) > 1e-12:
+        return raised, marginal
+    table_marginal = marginal_mixture(circ.table)
+    if float(np.abs(table_marginal.probs - marginal.probs).max()) > 1e-12:
         raise IqpError("PHASE and XROT blocks disagree")
-    return circ.table
-
-
-def _looks_parity(table: PhaseTable) -> bool:
-    theta = table.theta
-    near_0 = theta <= PARITY_TOL
-    near_pi = np.abs(theta - np.pi) <= PARITY_TOL
-    near_tau = theta >= 2.0 * np.pi - PARITY_TOL
-    return bool(np.all(near_0 | near_pi | near_tau))
+    return circ.table, table_marginal
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -116,7 +111,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         enforce_cap(args.m + p.n, DENSE_MAX_QUBITS, "phase table")
         q = round_to_dyadic(p, args.m)
         table = approx_phase_table(build_multiplicity_map(q, args.m), p.n)
-        bound = 0.5 * 2.0 ** (p.n - args.m)
+        bound = dyadic_tv_bound(p.n, args.m)
         if bound >= 1.0:
             sys.stderr.write(
                 f"warning: tv bound {format_float(bound)} is vacuous; raise --m\n"
@@ -144,11 +139,8 @@ def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
     if target.n != circ.n:
         raise IqpError(f"distribution is over {target.n} bits, circuit header says {circ.n}")
     t1 = time.perf_counter()
-    table = _table_of(circ)
-    mode = args.mode
-    if mode == "auto":
-        mode = circ.mode or ("approx" if _looks_parity(table) else "exact")
-    marginal = marginal_mixture(table)
+    table, marginal = _table_of(circ)
+    mode = (circ.mode or "exact") if args.mode == "auto" else args.mode
     if circ.m + circ.n <= CROSSCHECK_MAX_QUBITS:
         dense = marginal_full(table)
         if float(np.abs(dense.probs - marginal.probs).max()) > 1e-12:
@@ -159,7 +151,7 @@ def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
     report: dict = {"mode": mode, "n": circ.n, "m": circ.m}
     report["tv_realized"] = tv
     if mode == "approx":
-        bound = 0.5 * 2.0 ** (circ.n - circ.m)
+        bound = dyadic_tv_bound(circ.n, circ.m)
         report["tv_bound"] = bound
         passed = tv <= bound
         if args.tolerance is not None:
@@ -181,16 +173,16 @@ def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_verify(args: argparse.Namespace) -> int:
     report, passed = _verify_report(args)
     text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
     if args.output is not None:
         _write_text(args.output, text)
+    sys.stdout.write(text)
     return 0 if passed else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     check_sample_count(args.samples, args.seed)
     circ = parse_circuit(_read_text(args.circuit))
-    marginal = marginal_mixture(_table_of(circ))
+    _, marginal = _table_of(circ)
     lines = [
         f"{marginal.bitstring(j)} {format_float(float(marginal.probs[j]))}"
         for j in range(len(marginal))

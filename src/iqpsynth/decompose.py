@@ -214,8 +214,8 @@ def round_to_dyadic(p: ProbVector, m: int) -> ProbVector:
     Floors each mass to the grid, then promotes the outcomes with the
     largest truncated fractions by one grid unit each until the total is
     restored.  Ties promote the lower outcome index.  The result is within
-    total variation 0.5 * 2**(n - m) of p; for m < n that bound is vacuous
-    but the rounding itself stays well defined.
+    total variation dyadic_tv_bound(n, m) of p; for m < n that bound is
+    vacuous but the rounding itself stays well defined.
     """
     n = p.n
     if m < 0:
@@ -234,6 +234,11 @@ def round_to_dyadic(p: ProbVector, m: int) -> ProbVector:
     order = np.lexsort((np.arange(1 << n), -frac))
     counts[order[:surplus]] += 1
     return ProbVector(n, counts / scale)
+
+
+def dyadic_tv_bound(n: int, m: int) -> float:
+    """The total variation within which round_to_dyadic(p, m) stays of any p on n bits."""
+    return 0.5 * 2.0 ** (n - m)
 
 
 def build_multiplicity_map(q: ProbVector, m: int) -> NDArray[np.int64]:

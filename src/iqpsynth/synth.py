@@ -82,25 +82,20 @@ class PhaseTable:
         object.__setattr__(self, "theta", theta)
 
 
-def _parity_rows(b1, b2, theta_star, n: int) -> NDArray[np.float64]:
-    """The row formula for each (b1, b2, theta_star) triple, uncanonicalized."""
+def _row_table(n: int, b1, b2, mass) -> PhaseTable:
+    """The table of one row per (b1, b2, mass), whose 2**m rows give m.  Where
+    b1 == b2 theta_star is exactly 0 and mass, else clamped to [0, 1], is unread."""
+    b1 = np.asarray(b1, dtype=np.uint64)
+    flip = b1 ^ np.asarray(b2, dtype=np.uint64)
+    m = b1.size.bit_length() - 1
+    enforce_cap(m + n, DENSE_MAX_QUBITS, "phase table")
+    pair = np.flatnonzero(flip)
+    theta_star = np.zeros(b1.size)
+    mass = np.clip(np.broadcast_to(mass, b1.shape)[pair], 0.0, 1.0)
+    theta_star[pair] = [2.0 * math.acos(math.sqrt(x)) for x in mass.tolist()]
     y = np.arange(1 << n, dtype=np.uint64)
-    b1 = np.asarray(b1, dtype=np.uint64)[:, None]
-    flip = b1 ^ np.asarray(b2, dtype=np.uint64)[:, None]
-    theta_star = np.asarray(theta_star, dtype=np.float64)[:, None]
-    return np.pi * parity(b1 & y) + theta_star * parity(flip & y)
-
-
-def _pair_rows(b1, b2, mass, n: int) -> NDArray[np.float64]:
-    """Rows yielding b1 with each mass and b2 with the rest, uncanonicalized.
-
-    Masses are clamped to [0, 1]; where b1 == b2 the row is a plain parity
-    pattern and carries the whole unit, whatever mass was asked.
-    """
-    b1, b2 = np.asarray(b1), np.asarray(b2)
-    mass = np.where(b1 == b2, 1.0, np.clip(mass, 0.0, 1.0))
-    theta_star = [2.0 * math.acos(math.sqrt(x)) for x in mass.tolist()]
-    return _parity_rows(b1, b2, theta_star, n)
+    theta = np.pi * parity(b1[:, None] & y) + theta_star[:, None] * parity(flip[:, None] & y)
+    return PhaseTable(m, n, theta)
 
 
 def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
@@ -122,8 +117,7 @@ def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
     bad_mass = f"mass {mass!r} outside [0, 1]"
     if not -MASS_TOL <= as_array(mass, np.float64, bad_mass) <= 1.0 + MASS_TOL:  # nan fails
         raise IqpError(bad_mass)
-    enforce_cap(n, DENSE_MAX_QUBITS, "phase table")
-    return PhaseTable(0, n, _pair_rows([b1], [b2], [mass], n))
+    return _row_table(n, [b1], [b2], mass)
 
 
 def exact_phase_table(p: ProbVector) -> PhaseTable:
@@ -133,11 +127,11 @@ def exact_phase_table(p: ProbVector) -> PhaseTable:
     gives each component one hidden row.  The marginal reproduces p up to
     float rounding in the decomposition, with no dyadic loss.
     """
-    enforce_cap(2 * p.n + 1, DENSE_MAX_QUBITS, "phase table")
+    enforce_cap(2 * p.n + 1, DENSE_MAX_QUBITS, "phase table")  # before decomposing
     parts = decompose_2sparse(p)
     b1, b2 = parts.cols.T  # b2 is -1 where a component has one outcome
     b2 = np.where(b2 >= 0, b2, b1)
-    return PhaseTable(p.n + 1, p.n, _pair_rows(b1, b2, parts.masses[:, 0], p.n))
+    return _row_table(p.n, b1, b2, parts.masses[:, 0])
 
 
 def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
@@ -153,9 +147,7 @@ def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
         raise IqpError(f"expected 2**m multiplicity labels, got {size}")
     if v.dtype.kind not in "iu" or not 0 <= int(v.min()) <= int(v.max()) < dense_size(n):
         raise IqpError(f"multiplicity labels must lie in [0, 2**{n})")
-    m = size.bit_length() - 1
-    enforce_cap(m + n, DENSE_MAX_QUBITS, "phase table")
-    return PhaseTable(m, n, _parity_rows(v, v, np.zeros(size), n))
+    return _row_table(n, v, v, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from iqpsynth import circuit, cli, synth
 from iqpsynth.cli import main
+from iqpsynth.decompose import dyadic_tv_bound
 from iqpsynth.errors import InternalError, IqpError, OverCap
-from iqpsynth.probdist import ProbVector, parse_dist, serialize_dist, validate
+from iqpsynth.probdist import ProbVector, format_float, parse_dist, serialize_dist, validate
 from iqpsynth.sim import SAMPLES_MAX
 
 
@@ -122,20 +123,42 @@ def test_verify_mode_flag_overrides_annotation(dist_file, tmp_path, capsys):
     assert json.loads(out)["mode"] == "exact"
 
 
-def test_verify_infers_mode_without_annotation(dist_file, tmp_path, capsys):
-    circuit = str(tmp_path / "c.txt")
-    run(capsys, "synth", dist_file, "-o", circuit, "--mode", "approx", "--m", "4")
-    lines = [
-        line
-        for line in Path(circuit).read_text().splitlines()
-        if not line.startswith("# mode:")
-    ]
-    stripped = str(tmp_path / "anon.txt")
-    with open(stripped, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "verify", stripped, dist_file)
+def test_unannotated_circuit_is_judged_exact(dist_file, tmp_path, capsys):
+    # with no "# mode:" line, verify applies the exact rule unless told otherwise
+    circuit = tmp_path / "c.txt"
+    run(capsys, "synth", dist_file, "-o", str(circuit), "--mode", "approx", "--m", "4")
+    text = circuit.read_text()
+    assert text.startswith("# mode: approx\n")
+    stripped = tmp_path / "anon.txt"
+    stripped.write_text(text.removeprefix("# mode: approx\n"))
+    code, out, _ = run(capsys, "verify", str(stripped), dist_file)
+    assert code == 1 and json.loads(out)["mode"] == "exact"
+    code, out, _ = run(capsys, "verify", str(stripped), dist_file, "--mode", "approx")
+    assert code == 0 and json.loads(out)["tv_bound"] == dyadic_tv_bound(2, 4)
+
+
+def test_approx_warning_and_report_state_dyadic_tv_bound(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 3, "dense": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}')
+    circuit = tmp_path / "c.txt"
+    code, _, err = run(capsys, "synth", str(path), "-o", str(circuit),
+                       "--mode", "approx", "--m", "1")
+    bound = dyadic_tv_bound(3, 1)
     assert code == 0
-    assert json.loads(out)["mode"] == "approx"
+    assert err == f"warning: tv bound {format_float(bound)} is vacuous; raise --m\n"
+    code, out, _ = run(capsys, "verify", str(circuit), str(path))
+    assert code == 0 and json.loads(out)["tv_bound"] == bound
+
+
+@pytest.mark.parametrize("flags, walks", [([], 1), (["--format", "gates"], 1), (["--lower"], 2)])
+def test_verify_walks_each_block_once(flags, walks, dist_file, tmp_path, capsys, monkeypatch):
+    circuit = str(tmp_path / "c.txt")
+    run(capsys, "synth", dist_file, "-o", circuit, *flags)
+    calls = []
+    walk = cli.marginal_mixture
+    monkeypatch.setattr(cli, "marginal_mixture", lambda table: calls.append(table) or walk(table))
+    assert run(capsys, "verify", circuit, dist_file)[0] == 0
+    assert len(calls) == walks
 
 
 def test_gates_format_round_trips_through_verify(dist_file, tmp_path, capsys):
@@ -420,7 +443,7 @@ def test_atomic_write_leaves_no_droppings(dist_file, tmp_path, capsys):
     (tmp_path / "out").mkdir()
     code, out, err = run(capsys, "synth", dist_file, "-o", str(tmp_path / "out"))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path / 'out'}'\n"
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".iqpsynth-")]
     assert leftovers == []
     assert circuit.exists()
@@ -616,6 +639,13 @@ REFUSALS = [
              "in: byte 20 is not UTF-8"),
     _refusal("cap-variable", "synth d.json", None, 2,
              "IQP_MAX_QUBITS must be an integer, got 'x'", _qubit_cap("x")),
+    # an -o path that cannot be written; verify prints no report first
+    _refusal("synth-output", "synth d.json -o missing/x", None, 2,
+             "[Errno 2] No such file or directory: 'missing/x'"),
+    _refusal("verify-output", "verify c.txt d.json -o missing/x", None, 2,
+             "[Errno 2] No such file or directory: 'missing/x'"),
+    _refusal("decompose-output", "decompose d.json -o missing/x", None, 2,
+             "[Errno 2] No such file or directory: 'missing/x'"),
     # parse_dist and validate
     _refusal("invalid-json", "synth in", "{", 2,
              "invalid JSON: Expecting property name enclosed in double quotes: "

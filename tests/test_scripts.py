@@ -53,6 +53,18 @@ def test_benchmark_spans_resolve(monkeypatch):
         assert getattr(cli, name).__module__ == "iqpsynth.circuit", name
 
 
+def test_benchmark_checks_reject_corruption(monkeypatch):
+    # the benchmark's own checks must still accept a correct output and reject
+    # a corrupted one; the file puts perfbench/ and src/ on sys.path
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = load("test_checks", ROOT / "perfbench")
+    tests = [name for name in vars(bench) if name.startswith("test_")]
+    assert len(tests) == 4
+    for name in tests:
+        getattr(bench, name)()
+
+
 def test_corpus_gate_names_each_digest_off_its_pin(monkeypatch, capsys):
     corpus = load("synth_corpus")
     monkeypatch.setattr(corpus, "digest_corpus", lambda workdir: ({}, {}, {}, {}, {"k": "v"}))
