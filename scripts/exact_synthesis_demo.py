@@ -67,7 +67,7 @@ def main(argv=None):
         print(f"gate path amplitude error = "
               f"{format_float(float(np.abs(gate.amps - diag.amps).max()))}")
         print("\ncircuit file:")
-        print(serialize_circuit(pt.m, pt.n, gates=g, mode="exact"), end="")
+        print(serialize_circuit(gates=g, mode="exact"), end="")
 
     if args.samples:
         draws = sample(q, args.samples, seed=args.seed)

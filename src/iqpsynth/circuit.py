@@ -43,23 +43,22 @@ class ParsedCircuit:
 
 
 def serialize_circuit(
-    m: int,
-    n: int,
     table: PhaseTable | None = None,
     gates: GateList | None = None,
     mode: str | None = None,
 ) -> str:
     """Render a circuit file with a header and the requested blocks.
 
-    Phase lines cover every basis bitstring in ascending order so the file
-    round-trips even when phases are zero.
+    The header sizes are the blocks' own.  Phase lines cover every basis
+    bitstring in ascending order so the file round-trips even when phases
+    are zero.
     """
-    if table is None and gates is None:
+    blocks = [block for block in (table, gates) if block is not None]
+    if not blocks:
         raise IqpError("nothing to serialize: no table and no gates")
-    if table is not None and (table.m != m or table.n != n):
-        raise IqpError("table sizes disagree with header")
-    if gates is not None and gates.total_qubits != m + n:
-        raise IqpError("gate qubit count disagrees with header")
+    m, n = blocks[0].m, blocks[0].n
+    if (blocks[-1].m, blocks[-1].n) != (m, n):
+        raise IqpError("table and gates disagree on sizes")
     lines = []
     if mode is not None:
         lines.append(f"# mode: {mode}")
@@ -115,7 +114,7 @@ def _xrot_blocks(gates: GateList) -> Iterator[str]:
     subset of its qubits, after a comma when a higher field names a qubit.
     """
     yield f"GLOBALPHASE {format_float(gates.global_phase)}\n"
-    total = gates.total_qubits
+    total = gates.m + gates.n
     count = max(2, -(-total // 12))
     cuts = [total * i // count for i in range(count + 1)]
     fields = []
@@ -512,7 +511,7 @@ class _CircuitReader:
             phase = self.global_phase if self.global_phase is not None else 0.0
             masks = np.concatenate([np.zeros(0, np.int64), *self.xrot_masks])
             angles = np.concatenate([np.zeros(0), *self.xrot_angles])
-            gates = GateList(self.total, phase, masks, angles)
+            gates = GateList(self.m, self.n, phase, masks, angles)
         return ParsedCircuit(self.m, self.n, table, gates, self.mode)
 
 

@@ -44,6 +44,10 @@ from .synth import (
 
 DEFAULT_EXACT_TOL = 1e-9
 
+# Two marginals of one circuit, from its two blocks or its two routes, agree
+# when no entry differs by more than this.
+MARGINAL_AGREEMENT = 1e-12
+
 # The full-state cross-check runs only when it is cheap.
 CROSSCHECK_MAX_QUBITS = 20
 
@@ -89,14 +93,22 @@ def _table_of(circ: ParsedCircuit) -> tuple[PhaseTable, ProbVector]:
         if circ.table is None:
             raise IqpError("circuit file carries neither phases nor gates")
         return circ.table, marginal_mixture(circ.table)
-    raised = gates_to_phases(circ.gates, circ.m)
+    raised = gates_to_phases(circ.gates)
     marginal = marginal_mixture(raised)
     if circ.table is None:
         return raised, marginal
     table_marginal = marginal_mixture(circ.table)
-    if float(np.abs(table_marginal.probs - marginal.probs).max()) > 1e-12:
+    if float(np.abs(table_marginal.probs - marginal.probs).max()) > MARGINAL_AGREEMENT:
         raise IqpError("PHASE and XROT blocks disagree")
     return circ.table, table_marginal
+
+
+def _tv_bound(n: int, m: int) -> float:
+    """The approx TV bound, with a warning on stderr when it is vacuous."""
+    bound = dyadic_tv_bound(n, m)
+    if bound >= 1.0:
+        sys.stderr.write(f"warning: tv bound {format_float(bound)} is vacuous; raise --m\n")
+    return bound
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -111,20 +123,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         enforce_cap(args.m + p.n, DENSE_MAX_QUBITS, "phase table")
         q = round_to_dyadic(p, args.m)
         table = approx_phase_table(build_multiplicity_map(q, args.m), p.n)
-        bound = dyadic_tv_bound(p.n, args.m)
-        if bound >= 1.0:
-            sys.stderr.write(
-                f"warning: tv bound {format_float(bound)} is vacuous; raise --m\n"
-            )
+        _tv_bound(p.n, args.m)
     gates = None
     if args.lower or args.format == "gates":
         gates = walsh_lower(table)
     text = serialize_circuit(
-        table.m,
-        table.n,
-        table=table if args.format == "phasetable" else None,
-        gates=gates,
-        mode=args.mode,
+        table=table if args.format == "phasetable" else None, gates=gates, mode=args.mode
     )
     _emit(text, args.output)
     return 0
@@ -140,10 +144,10 @@ def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
         raise IqpError(f"distribution is over {target.n} bits, circuit header says {circ.n}")
     t1 = time.perf_counter()
     table, marginal = _table_of(circ)
-    mode = (circ.mode or "exact") if args.mode == "auto" else args.mode
+    mode = circ.mode or "exact"
     if circ.m + circ.n <= CROSSCHECK_MAX_QUBITS:
         dense = marginal_full(table)
-        if float(np.abs(dense.probs - marginal.probs).max()) > 1e-12:
+        if float(np.abs(dense.probs - marginal.probs).max()) > MARGINAL_AGREEMENT:
             raise InternalError("internal: mixture and dense marginals disagree")
     t2 = time.perf_counter()
     tv = tv_distance(target, marginal)
@@ -151,8 +155,7 @@ def _verify_report(args: argparse.Namespace) -> tuple[dict, bool]:
     report: dict = {"mode": mode, "n": circ.n, "m": circ.m}
     report["tv_realized"] = tv
     if mode == "approx":
-        bound = dyadic_tv_bound(circ.n, circ.m)
-        report["tv_bound"] = bound
+        bound = report["tv_bound"] = _tv_bound(circ.n, circ.m)
         passed = tv <= bound
         if args.tolerance is not None:
             passed = passed and tv <= args.tolerance
@@ -247,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a circuit against a distribution")
     verify.add_argument("circuit", help="circuit file")
     verify.add_argument("dist", help="distribution JSON file")
-    verify.add_argument("--mode", choices=("auto", "exact", "approx"), default="auto")
     verify.add_argument("--tolerance", type=float, help="tv acceptance threshold")
     verify.add_argument("-o", "--output", help="also write the report here")
     verify.set_defaults(func=cmd_verify)

@@ -113,7 +113,7 @@ def simulate_gates(g: GateList) -> StateVector:
     Each gate scales the squared norm by fl(cos a)**2 + fl(sin a)**2, which
     can miss 1 by an ulp; a drift within 4 ulps per gate is rescaled away.
     """
-    total = g.total_qubits
+    total = g.m + g.n
     enforce_cap(total, DENSE_MAX_QUBITS, "gate simulation")
     size = 1 << total
     amps = np.zeros(size, dtype=np.complex128)

@@ -152,31 +152,34 @@ def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
 
 @dataclass(frozen=True, eq=False)
 class GateList:
-    """X-rotation circuit: exp(i * angle * X_S) terms plus a global phase.
+    """X-rotation circuit on m hidden plus n visible qubits: exp(i * angle * X_S)
+    terms plus a global phase.
 
     Gate i acts on the qubits set in masks[i] (nonzero, unique; qubit 0 is
-    the most significant of total_qubits bits) by angles[i], canonical in
+    the most significant of m + n bits) by angles[i], canonical in
     (-pi, pi].  Both arrays are read-only.  Gates commute, so order is moot.
     """
 
-    total_qubits: int
+    m: int
+    n: int
     global_phase: float
     masks: NDArray[np.int64]
     angles: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if self.total_qubits < 0:
-            raise IqpError("qubit count must be nonnegative")
+        if self.m < 0 or self.n < 0:
+            raise IqpError("qubit counts must be nonnegative")
         if not np.isfinite(as_array(self.global_phase, np.float64, "global phase must be finite")):
             raise IqpError("global phase must be finite")
-        outside = f"gate masks must lie in (0, 2**{self.total_qubits})"
+        total = self.m + self.n
+        outside = f"gate masks must lie in (0, 2**{total})"
         masks = as_array(self.masks, np.int64, outside).copy()
         angles = as_array(self.angles, np.float64, "gate angles must be finite")
         if masks.ndim != 1 or masks.shape != angles.shape:
             raise IqpError("gate masks and angles must be 1-D and of one length")
         if not masks.all():
             raise IqpError("gate supports must be nonempty")
-        if masks.size and (masks.min() < 0 or int(masks.max()) >> self.total_qubits):
+        if masks.size and (masks.min() < 0 or int(masks.max()) >> total):
             raise IqpError(outside)
         if (np.diff(np.sort(masks)) == 0).any():
             raise IqpError("duplicate gate support")
@@ -206,20 +209,15 @@ def walsh_lower(pt: PhaseTable) -> GateList:
     c /= float(1 << total)
     angles = canonical_angle(c[1:])
     kept = np.flatnonzero(np.abs(angles) > GATE_TOL)
-    return GateList(total, float(c[0]), kept + 1, angles[kept])
+    return GateList(pt.m, pt.n, float(c[0]), kept + 1, angles[kept])
 
 
-def gates_to_phases(g: GateList, m: int = 0) -> PhaseTable:
-    """Invert walsh_lower: accumulate gate angles back into a phase table.
-
-    The gate list does not record the hidden/visible split, so m is taken
-    as a parameter; visible bits are the remaining total_qubits - m.
-    """
-    total = g.total_qubits
-    if not 0 <= m <= total:
-        raise IqpError(f"m={m} outside [0, {total}]")
+def gates_to_phases(g: GateList) -> PhaseTable:
+    """Invert walsh_lower: accumulate gate angles back into a phase table
+    with the gate list's hidden/visible split."""
+    total = g.m + g.n
     enforce_cap(total, WALSH_MAX_QUBITS, "raising")
     c = np.zeros(1 << total, dtype=np.float64)
     c[0] = g.global_phase
     c[g.masks] = g.angles
-    return PhaseTable(m, total - m, wht_inplace(c))
+    return PhaseTable(g.m, g.n, wht_inplace(c))

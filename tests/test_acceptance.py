@@ -256,11 +256,11 @@ def test_criterion_7_gate_paths():
         order = list(range(len(g)))
         shuffler.shuffle(order)
         reordered = simulate_gates(
-            GateList(total, g.global_phase, g.masks[order], g.angles[order])
+            GateList(m, n, g.global_phase, g.masks[order], g.angles[order])
         )
         shuffle_gap = float(np.abs(reordered.amps - from_gates.amps).max())
         assert shuffle_gap <= 1e-12
-        back = gates_to_phases(g, m)
+        back = gates_to_phases(g)
         delta = np.abs(back.theta - pt.theta)
         round_gap = float(np.minimum(delta, 2.0 * np.pi - delta).max())
         assert round_gap <= 1e-9

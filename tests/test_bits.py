@@ -48,13 +48,13 @@ def test_parity_scalar_and_no_aliasing():
 def test_mask_round_trip_convention():
     # qubit 0 is the most significant bit of a gate mask; qubit lists exist
     # only in the XROT text
-    g = GateList(3, 0.0, [0b100, 0b001, 0b101], [0.5, 0.5, 0.5])
-    lines = serialize_circuit(0, 3, gates=g).splitlines()
+    g = GateList(0, 3, 0.0, [0b100, 0b001, 0b101], [0.5, 0.5, 0.5])
+    lines = serialize_circuit(gates=g).splitlines()
     assert [line.split()[-1] for line in lines[2:]] == ["q0", "q2", "q0,q2"]
     for total in range(1, 7):
         masks = np.arange(1, 1 << total)
-        g = GateList(total, 0.0, masks, np.full(masks.size, 0.5))
-        parsed = parse_circuit(serialize_circuit(0, total, gates=g)).gates
+        g = GateList(0, total, 0.0, masks, np.full(masks.size, 0.5))
+        parsed = parse_circuit(serialize_circuit(gates=g)).gates
         assert np.array_equal(parsed.masks, masks)
 
 

@@ -57,10 +57,10 @@ def test_synth_writes_stdout_without_output_flag(dist_file, capsys):
 def test_verify_approx_reports_bound(dist_file, tmp_path, capsys):
     circuit = str(tmp_path / "c.txt")
     report_path = str(tmp_path / "report.json")
-    code, _, _ = run(capsys, "synth", dist_file, "-o", circuit, "--mode", "approx", "--m", "5")
-    assert code == 0
-    code, out, _ = run(capsys, "verify", circuit, dist_file, "-o", report_path)
-    assert code == 0
+    code, _, err = run(capsys, "synth", dist_file, "-o", circuit, "--mode", "approx", "--m", "5")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "verify", circuit, dist_file, "-o", report_path)
+    assert code == 0 and err == ""  # a bound below 1 draws no warning
     report = json.loads(out)
     assert list(report) == [
         "mode", "n", "m", "tv_realized", "tv_bound", "passed", "timings_ms",
@@ -115,16 +115,24 @@ def test_verify_rejects_bad_tolerance(dist_file, tmp_path, capsys):
         assert report["passed"] == (report["tv_realized"] <= float(good))
 
 
-def test_verify_mode_flag_overrides_annotation(dist_file, tmp_path, capsys):
+def test_verify_takes_its_mode_from_the_file(dist_file, tmp_path, capsys):
     circuit = str(tmp_path / "c.txt")
     run(capsys, "synth", dist_file, "-o", circuit, "--mode", "approx", "--m", "4")
-    code, out, _ = run(capsys, "verify", circuit, dist_file, "--mode", "exact")
+    # the exact rule's verdict on an approx file is a tolerance under the bound
+    code, out, _ = run(capsys, "verify", circuit, dist_file, "--tolerance", "1e-9")
     assert code == 1  # dyadic error far exceeds the exact tolerance
-    assert json.loads(out)["mode"] == "exact"
+    assert json.loads(out)["mode"] == "approx"
+    code, out, err = run(capsys, "verify", circuit, dist_file, "--mode", "exact")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and err.endswith(
+        "error: unrecognized arguments: --mode exact\n"
+    )
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0 and "--tolerance" in out and "--mode" not in out
 
 
 def test_unannotated_circuit_is_judged_exact(dist_file, tmp_path, capsys):
-    # with no "# mode:" line, verify applies the exact rule unless told otherwise
+    # with no "# mode:" line, verify applies the exact rule
     circuit = tmp_path / "c.txt"
     run(capsys, "synth", dist_file, "-o", str(circuit), "--mode", "approx", "--m", "4")
     text = circuit.read_text()
@@ -133,7 +141,8 @@ def test_unannotated_circuit_is_judged_exact(dist_file, tmp_path, capsys):
     stripped.write_text(text.removeprefix("# mode: approx\n"))
     code, out, _ = run(capsys, "verify", str(stripped), dist_file)
     assert code == 1 and json.loads(out)["mode"] == "exact"
-    code, out, _ = run(capsys, "verify", str(stripped), dist_file, "--mode", "approx")
+    stripped.write_text("# mode: approx\n" + stripped.read_text())
+    code, out, _ = run(capsys, "verify", str(stripped), dist_file)
     assert code == 0 and json.loads(out)["tv_bound"] == dyadic_tv_bound(2, 4)
 
 
@@ -144,10 +153,23 @@ def test_approx_warning_and_report_state_dyadic_tv_bound(tmp_path, capsys):
     code, _, err = run(capsys, "synth", str(path), "-o", str(circuit),
                        "--mode", "approx", "--m", "1")
     bound = dyadic_tv_bound(3, 1)
-    assert code == 0
-    assert err == f"warning: tv bound {format_float(bound)} is vacuous; raise --m\n"
-    code, out, _ = run(capsys, "verify", str(circuit), str(path))
-    assert code == 0 and json.loads(out)["tv_bound"] == bound
+    warning = f"warning: tv bound {format_float(bound)} is vacuous; raise --m\n"
+    assert code == 0 and err == warning
+    code, out, err = run(capsys, "verify", str(circuit), str(path))
+    assert code == 0 and json.loads(out)["tv_bound"] == bound and err == warning
+
+
+def test_verify_warns_on_a_vacuous_bound(tmp_path, capsys):
+    # m = 0 hidden qubits bound nothing at n = 1: a fair coin passes as 0.9/0.1
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("# mode: approx\n" + REFUSAL_FILES["c.txt"])
+    target = tmp_path / "d.json"
+    target.write_text('{"n": 1, "probs": {"0": 0.9, "1": 0.1}}')
+    code, out, err = run(capsys, "verify", str(circuit), str(target))
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["tv_bound"] == 1.0 and abs(report["tv_realized"] - 0.4) <= 1e-15
+    assert err == "warning: tv bound 1 is vacuous; raise --m\n"
 
 
 @pytest.mark.parametrize("flags, walks", [([], 1), (["--format", "gates"], 1), (["--lower"], 2)])

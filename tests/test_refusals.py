@@ -60,7 +60,7 @@ CALLS = {
     "StateVector": (StateVector, st.tuples(SIZES, listed(REALS))),
     "Mixture": (Mixture, mixtures()),
     "PhaseTable": (PhaseTable, st.tuples(SIZES, SIZES, listed(REALS))),
-    "GateList": (GateList, st.tuples(SIZES, REALS, listed(SIZES), listed(REALS))),
+    "GateList": (GateList, st.tuples(SIZES, SIZES, REALS, listed(SIZES), listed(REALS))),
     "round_to_dyadic": (round_to_dyadic, st.tuples(st.sampled_from([TINY, QUARTERS]), SIZES)),
     "build_multiplicity_map": (
         build_multiplicity_map, st.tuples(st.sampled_from([TINY, QUARTERS]), SIZES)
@@ -68,9 +68,10 @@ CALLS = {
     "exact_phase_table": (exact_phase_table, st.tuples(st.sampled_from([TINY, QUARTERS]))),
     "approx_phase_table": (approx_phase_table, st.tuples(listed(SIZES), SIZES)),
     "uma_phases_for_pair": (uma_phases_for_pair, st.tuples(SIZES, SIZES, REALS, SIZES)),
-    "gates_to_phases": (
-        gates_to_phases, st.tuples(st.just(GateList(2, 0.5, [1, 3], [0.25, -1.0])), SIZES)
-    ),
+    "gates_to_phases": (gates_to_phases, st.tuples(st.sampled_from([
+        GateList(m, n, 0.5, [1, 3][: m + n], [0.25, -1.0][: m + n])
+        for m, n in ((0, 0), (1, 1), (0, 40), (2**70, 0))
+    ]))),
     "sample": (sample, st.tuples(st.sampled_from([TINY, QUARTERS]), SIZES | REALS, SIZES | REALS)),
 }
 
@@ -98,6 +99,12 @@ def test_every_checked_holder_is_driven():
         if dataclasses.is_dataclass(value) and "__post_init__" in vars(value)
     }
     assert holders and holders <= set(CALLS), sorted(holders - set(CALLS))
+
+
+def test_negative_probability_is_refused():
+    # the entries sum to 1, so only the sign check can refuse them
+    with pytest.raises(IqpError, match="probabilities must be nonnegative"):
+        ProbVector(1, [1.5, -0.5])
 
 
 @pytest.mark.parametrize("cols, masses", [

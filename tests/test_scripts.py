@@ -3,9 +3,12 @@ still fit the package API."""
 
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -84,3 +87,14 @@ def test_corpus_gate_names_each_digest_off_its_pin(monkeypatch, capsys):
     pins["gate blocks parsed; gates"] = printed.out.split()[-1]
     assert corpus.main_cli() == 0
     assert capsys.readouterr().err == ""
+
+
+def test_corpus_calls_allow_no_stderr_but_the_vacuous_warning(tmp_path):
+    corpus = load("synth_corpus")
+    dist, circuit = tmp_path / "d.json", tmp_path / "c.txt"
+    dist.write_text('{"n": 1, "probs": {"0": 0.5, "1": 0.5}}')
+    # m = 0 hidden qubits at n = 1: the bound is 1, and verify warns
+    circuit.write_text("# mode: approx\nHEADER m=0 n=1\nPHASE 0 0\nPHASE 1 0\n")
+    assert json.loads(corpus._printed(["verify", str(circuit), str(dist)]))["tv_bound"] == 1.0
+    with pytest.raises(SystemExit, match="max reconstruction error"):
+        corpus._printed(["decompose", str(dist), "--check"])

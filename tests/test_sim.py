@@ -92,7 +92,7 @@ def test_mixture_chunking_boundaries(monkeypatch):
 
 
 def test_simulate_gates_frozen_single_rotation():
-    g = GateList(1, 0.0, [1], [np.pi / 2])
+    g = GateList(0, 1, 0.0, [1], [np.pi / 2])
     out = simulate_gates(g)
     assert abs(out.amps[0]) <= 1e-15
     assert abs(out.amps[1] - 1j) <= 1e-15
@@ -109,7 +109,7 @@ def test_simulate_gates_matches_matrix_oracle(q, seed):
     supports = list(dict.fromkeys(supports))
     masks = [sum(1 << (q - 1 - int(i)) for i in support) for support in supports]
     angles = rng.uniform(-np.pi, np.pi, len(supports))
-    g = GateList(q, float(rng.uniform(-np.pi, np.pi)), masks, angles)
+    g = GateList(0, q, float(rng.uniform(-np.pi, np.pi)), masks, angles)
     got = simulate_gates(g)
     amps = np.zeros(1 << q, dtype=np.complex128)
     amps[0] = 1.0
@@ -123,7 +123,7 @@ def test_simulate_gates_rescales_rounding_drift():
     # every support of 13 qubits at one angle: per-gate rounding drifts the
     # squared norm about 1.2e-12 from 1, past the 1e-12 of a StateVector
     q = 13
-    g = GateList(q, 0.0, np.arange(1, 1 << q), np.full((1 << q) - 1, 0.560257))
+    g = GateList(0, q, 0.0, np.arange(1, 1 << q), np.full((1 << q) - 1, 0.560257))
     got = simulate_gates(g)
     want = iqp_state(gates_to_phases(g))
     assert np.abs(got.amps - want.amps).max() <= 1e-9
@@ -139,7 +139,7 @@ def test_gate_order_is_irrelevant(m, n, seed):
         return
     order = list(range(len(g)))
     random.Random(seed).shuffle(order)
-    h = GateList(g.total_qubits, g.global_phase, g.masks[order], g.angles[order])
+    h = GateList(g.m, g.n, g.global_phase, g.masks[order], g.angles[order])
     assert np.abs(simulate_gates(g).amps - simulate_gates(h).amps).max() <= 1e-12
 
 
@@ -150,7 +150,7 @@ def test_qubit_caps(monkeypatch):
     with pytest.raises(OverCap, match="mixture walk needs 3 qubits, cap is 2"):
         marginal_mixture(PhaseTable(2, 1, np.zeros(8)))
     with pytest.raises(OverCap, match="gate simulation needs 3 qubits, cap is 2"):
-        simulate_gates(GateList(3, 0.0, [], []))
+        simulate_gates(GateList(1, 2, 0.0, [], []))
     monkeypatch.delenv("IQP_MAX_QUBITS")
     marginal_mixture(PhaseTable(2, 1, np.zeros(8)))
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqpsynth import circuit, synth
@@ -199,36 +199,37 @@ def test_gatelist_validation():
     shapes = "gate masks and angles must be 1-D and of one length"
     # a zero mask is an empty support
     with pytest.raises(IqpError, match="gate supports must be nonempty"):
-        GateList(2, 0.0, [0], [0.5])
+        GateList(0, 2, 0.0, [0], [0.5])
     with pytest.raises(IqpError, match="duplicate gate support"):
-        GateList(2, 0.0, [0b10, 0b01, 0b10], [0.5, 0.25, 0.125])
+        GateList(0, 2, 0.0, [0b10, 0b01, 0b10], [0.5, 0.25, 0.125])
     with pytest.raises(IqpError, match=outside):
-        GateList(2, 0.0, [0b100], [0.5])
+        GateList(0, 2, 0.0, [0b100], [0.5])
     with pytest.raises(IqpError, match=outside):
-        GateList(2, 0.0, [-1], [0.5])
-    with pytest.raises(IqpError, match="qubit count must be nonnegative"):
-        GateList(-1, 0.0, [], [])
+        GateList(0, 2, 0.0, [-1], [0.5])
+    for m, n in ((-1, 2), (2, -1)):
+        with pytest.raises(IqpError, match="qubit counts must be nonnegative"):
+            GateList(m, n, 0.0, [], [])
     with pytest.raises(IqpError, match="global phase must be finite"):
-        GateList(2, float("inf"), [], [])
+        GateList(0, 2, float("inf"), [], [])
     with pytest.raises(IqpError, match="gate angles must be finite"):
-        GateList(2, 0.0, [0b01, 0b10], [0.5, float("nan")])
+        GateList(0, 2, 0.0, [0b01, 0b10], [0.5, float("nan")])
     with pytest.raises(IqpError, match=shapes):
-        GateList(2, 0.0, [0b01, 0b10], [0.5])
+        GateList(0, 2, 0.0, [0b01, 0b10], [0.5])
     with pytest.raises(IqpError, match=shapes):
-        GateList(2, 0.0, [[0b01, 0b10]], [[0.5, 0.25]])
+        GateList(0, 2, 0.0, [[0b01, 0b10]], [[0.5, 0.25]])
 
 
 def test_gate_masks_past_int64_are_refused():
     # masks are int64: a wider support is a bad gate list, not an OverflowError
     with pytest.raises(IqpError, match=r"gate masks must lie in \(0, 2\*\*70\)"):
-        GateList(70, 0.0, [2**65], [0.5])
+        GateList(0, 70, 0.0, [2**65], [0.5])
 
 
 def test_array_dataclasses_compare_by_identity():
     # a field-wise == over arrays would raise; these compare as objects
     p = validate([0.1, 0.1, 0.3, 0.5], 2)
     makers = (
-        lambda: GateList(2, 0.0, [1, 2], [0.5, 0.5]),
+        lambda: GateList(0, 2, 0.0, [1, 2], [0.5, 0.5]),
         lambda: PhaseTable(1, 1, [0.0, 1.0, 2.0, 3.0]),
         lambda: decompose_2sparse(p),
     )
@@ -239,12 +240,12 @@ def test_array_dataclasses_compare_by_identity():
 
 
 def test_gatelist_canonicalizes_angles():
-    g = GateList(1, 0.0, [1], [7.0])
+    g = GateList(0, 1, 0.0, [1], [7.0])
     assert abs(g.angles[0] - (7.0 - 2.0 * np.pi)) < 1e-15
-    assert GateList(1, 0.0, [1], [-np.pi]).angles[0] == np.pi
+    assert GateList(0, 1, 0.0, [1], [-np.pi]).angles[0] == np.pi
     assert not (g.masks.flags.writeable or g.angles.flags.writeable)
     # equivalent angles drive identical simulations
-    h = GateList(1, 0.0, [1], [7.0 - 2.0 * np.pi])
+    h = GateList(0, 1, 0.0, [1], [7.0 - 2.0 * np.pi])
     assert np.array_equal(simulate_gates(g).amps, simulate_gates(h).amps)
 
 
@@ -257,7 +258,7 @@ def test_walsh_frozen_single_qubit():
 
 
 def test_gates_to_phases_frozen_single_qubit():
-    g = GateList(1, np.pi / 2, [1], [np.pi / 2])
+    g = GateList(0, 1, np.pi / 2, [1], [np.pi / 2])
     pt = gates_to_phases(g)
     assert np.allclose(pt.theta, [np.pi, 0.0], atol=1e-15)
 
@@ -269,7 +270,8 @@ def test_walsh_round_trip(m, n, seed):
     pt = PhaseTable(m, n, rng.uniform(0.0, 2.0 * np.pi, 1 << (m + n)))
     g = walsh_lower(pt)
     assert len(g) <= (1 << (m + n)) - 1
-    back = gates_to_phases(g, m)
+    back = gates_to_phases(g)
+    assert (g.m, g.n, back.m, back.n) == (m, n, m, n)
     delta = np.abs(back.theta - pt.theta)
     delta = np.minimum(delta, 2.0 * np.pi - delta)
     assert delta.max() <= 1e-9
@@ -320,7 +322,7 @@ def test_walsh_qubit_cap(monkeypatch):
     with pytest.raises(OverCap, match="lowering needs 4 qubits, cap is 3"):
         walsh_lower(PhaseTable(2, 2, np.zeros(16)))
     with pytest.raises(OverCap, match="raising needs 4 qubits, cap is 3"):
-        gates_to_phases(GateList(4, 0.0, [], []), 2)
+        gates_to_phases(GateList(2, 2, 0.0, [], []))
 
 
 def test_exact_table_cap_comes_before_the_decomposition(monkeypatch):
@@ -334,9 +336,11 @@ def test_exact_table_cap_comes_before_the_decomposition(monkeypatch):
 
 
 def test_gates_to_phases_split_bounds():
-    g = GateList(2, 0.0, [], [])
-    with pytest.raises(IqpError, match=r"m=3 outside \[0, 2\]"):
-        gates_to_phases(g, 3)
+    # the split travels with the gates: lowering keeps it and raising reads it
+    g = walsh_lower(PhaseTable(1, 2, np.arange(8.0)))
+    assert (g.m, g.n) == (1, 2)
+    pt = gates_to_phases(GateList(2, 1, g.global_phase, g.masks, g.angles))
+    assert (pt.m, pt.n) == (2, 1)
 
 
 def test_codec_names_live_in_circuit_alone():
@@ -348,22 +352,31 @@ def test_codec_names_live_in_circuit_alone():
     assert not defined & set(vars(synth))
 
 
-def round_trip(m, n, table=None, gates=None, mode=None):
-    return parse_circuit(serialize_circuit(m, n, table=table, gates=gates, mode=mode))
+def round_trip(table=None, gates=None, mode=None):
+    return parse_circuit(serialize_circuit(table=table, gates=gates, mode=mode))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(0, 0, 0)
+@example(0, 2, 1)
+@example(1, 1, 2)
+@example(3, 2, 3)
 def test_circuit_file_round_trip(m, n, seed):
     rng = np.random.default_rng(seed)
     pt = PhaseTable(m, n, rng.uniform(0.0, 2.0 * np.pi, 1 << (m + n)))
     g = walsh_lower(pt)
-    circ = round_trip(m, n, table=pt, gates=g, mode="exact")
+    circ = round_trip(table=pt, gates=g, mode="exact")
     assert circ.m == m and circ.n == n and circ.mode == "exact"
     assert np.array_equal(circ.table.theta, pt.theta)
     assert np.array_equal(circ.gates.masks, g.masks)
     assert np.array_equal(circ.gates.angles, g.angles)
     assert circ.gates.global_phase == g.global_phase
+    # a gates-only file carries the split in its gate list, and raises to the table's marginal
+    gates = round_trip(gates=g).gates
+    assert (gates.m, gates.n) == (m, n)
+    raised = marginal_mixture(gates_to_phases(gates)).probs
+    assert np.abs(raised - marginal_mixture(pt).probs).max() <= 1e-12
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -380,10 +393,10 @@ def test_gate_lines_match_a_per_gate_writer(data):
         pool[rng.integers(0, pool.size, masks.size)],
         rng.uniform(-4.0, 4.0, masks.size),
     )
-    g = GateList(total, float(rng.normal()), rng.permutation(masks), angles)
+    g = GateList(m, total - m, float(rng.normal()), rng.permutation(masks), angles)
     # several blocks of lines per gate list
     with mock.patch.object(circuit, "_CHUNK_ROWS", data.draw(st.integers(1, 300))):
-        text = serialize_circuit(m, total - m, gates=g)
+        text = serialize_circuit(gates=g)
     reference = [f"HEADER m={m} n={total - m}", f"GLOBALPHASE {g.global_phase:.17g}"]
     for mask, angle in zip(g.masks.tolist(), g.angles.tolist()):
         support = [f"q{q}" for q in range(total) if mask >> (total - 1 - q) & 1]
@@ -421,7 +434,7 @@ def test_phase_lines_match_a_per_line_writer(total):
         assert len(got) == len(want)
 
     m = total // 2
-    text = serialize_circuit(m, total - m, table=PhaseTable(m, total - m, theta))
+    text = serialize_circuit(table=PhaseTable(m, total - m, theta))
     assert_same_lines(text, f"HEADER m={m} n={total - m}\n" + reference(size))
     # row counts on both sides of the block edge, full blocks first
     for rows in sorted({1, 4095, 4096, 4097, 8191, 8193, size} & set(range(1, size + 1))):
@@ -432,20 +445,19 @@ def test_phase_lines_match_a_per_line_writer(total):
 
 def test_circuit_file_blocks_are_optional():
     pt = PhaseTable(1, 1, [0.0, 0.5, 1.0, 1.5])
-    only_table = round_trip(1, 1, table=pt)
+    only_table = round_trip(table=pt)
     assert only_table.gates is None and only_table.table is not None
     g = walsh_lower(pt)
-    only_gates = round_trip(1, 1, gates=g)
+    only_gates = round_trip(gates=g)
     assert only_gates.table is None
     assert np.array_equal(only_gates.gates.masks, g.masks)
     assert np.array_equal(only_gates.gates.angles, g.angles)
     with pytest.raises(IqpError, match="nothing to serialize: no table and no gates"):
-        serialize_circuit(1, 1)
+        serialize_circuit()
+    # (0, 2) has the gates' 2 qubits, split otherwise
     for m, n in ((0, 2), (1, 2)):
-        with pytest.raises(IqpError, match="table sizes disagree with header"):
-            serialize_circuit(m, n, table=pt, gates=g)
-    with pytest.raises(IqpError, match="gate qubit count disagrees with header"):
-        serialize_circuit(1, 2, gates=g)
+        with pytest.raises(IqpError, match="table and gates disagree on sizes"):
+            serialize_circuit(table=PhaseTable(m, n, np.zeros(1 << (m + n))), gates=g)
 
 
 def test_circuit_parser_accepts_comments_and_blanks():
@@ -502,7 +514,7 @@ def test_circuit_parser_reports_line_numbers():
 
 def test_zero_qubit_circuit_round_trip():
     pt = PhaseTable(0, 0, [1.25])
-    circ = round_trip(0, 0, table=pt)
+    circ = round_trip(table=pt)
     assert circ.table.theta.tolist() == [1.25]
 
 
@@ -510,9 +522,9 @@ def big_circuit_lines(keyword="PHASE"):
     rng = np.random.default_rng(3)
     pt = PhaseTable(8, 6, rng.uniform(0.0, 2.0 * np.pi, 1 << 14))
     if keyword == "PHASE":
-        text = serialize_circuit(8, 6, table=pt, mode="exact")
+        text = serialize_circuit(table=pt, mode="exact")
     else:
-        text = serialize_circuit(8, 6, gates=walsh_lower(pt), mode="exact")
+        text = serialize_circuit(gates=walsh_lower(pt), mode="exact")
     assert len(text) > 3 * circuit._CHUNK_CHARS
     return text.splitlines(keepends=True)
 
@@ -857,7 +869,7 @@ def test_circuit_parser_reads_any_layout(data):
     if rotations or global_phase is not None:
         order = [key for keyword, key in body if keyword == "XROT"]
         phase = 0.0 if global_phase is None else global_phase
-        want = GateList(total, phase, order, [rotations[key] for key in order])
+        want = GateList(m, n, phase, order, [rotations[key] for key in order])
         assert np.array_equal(circ.gates.masks, want.masks)
         assert np.array_equal(circ.gates.angles, want.angles)
         assert circ.gates.global_phase == want.global_phase
