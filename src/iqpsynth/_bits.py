@@ -8,6 +8,7 @@ A support set of qubit indices therefore maps to the integer mask
 
 from __future__ import annotations
 
+import numbers
 import os
 from collections.abc import Sequence
 
@@ -35,9 +36,21 @@ def dense_size(bits: int) -> int:
     return 1 << bits
 
 
+def as_size(value, what: str) -> int:
+    """value, a count of bits or qubits, if it is a nonnegative integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise IqpError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def as_array(values, dtype, message: str) -> np.ndarray:
     """np.asarray(values, dtype), so an array of that dtype is not copied; an
-    integer past the dtype's range raises IqpError(message), not OverflowError."""
+    integer past the dtype's range, or for an integer dtype a nonempty float or
+    bool input (which numpy would truncate), raises IqpError(message)."""
+    if np.dtype(dtype).kind in "iu":
+        given = np.asarray(values)
+        if given.size and given.dtype.kind in "fcb":
+            raise IqpError(message)
     try:
         return np.asarray(values, dtype=dtype)
     except OverflowError:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, as_array, dense_size, enforce_cap
+from ._bits import DENSE_MAX_QUBITS, as_array, as_size, dense_size, enforce_cap
 from .errors import InternalError, IqpError
 from .probdist import CLAMP_TOL, ProbVector, _fsum, sort_with_permutation
 
@@ -56,7 +56,7 @@ class Mixture:
     masses: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        size = dense_size(self.n)
+        size = dense_size(as_size(self.n, "bit count"))
         bad_shape = "component columns and values must be 2-D arrays of one shape"
         try:
             cols = as_array(self.cols, np.int64, f"component entries must lie in [0, {size})")
@@ -218,9 +218,7 @@ def round_to_dyadic(p: ProbVector, m: int) -> ProbVector:
     vacuous but the rounding itself stays well defined.
     """
     n = p.n
-    if m < 0:
-        raise IqpError(f"grid resolution must be nonnegative, got m={m}")
-    scale = float(dense_size(m))
+    scale = float(dense_size(as_size(m, "grid resolution m")))
     scaled = p.probs * scale  # exact: multiplication by a power of 2
     counts = np.floor(scaled).astype(np.int64)
     frac = scaled - counts
@@ -247,9 +245,7 @@ def build_multiplicity_map(q: ProbVector, m: int) -> NDArray[np.int64]:
     Outcome j appears q_j * 2**m times, in ascending order of j; the
     returned int64 array is read-only.
     """
-    if m < 0:
-        raise IqpError(f"grid resolution must be nonnegative, got m={m}")
-    scale = float(dense_size(m))
+    scale = float(dense_size(as_size(m, "grid resolution m")))
     counts = np.rint(q.probs * scale).astype(np.int64)
     if not np.array_equal(counts / scale, q.probs):
         raise IqpError("q is not exactly dyadic at resolution m")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, as_array, bit_keys, dense_size, enforce_cap
+from ._bits import DENSE_MAX_QUBITS, as_array, as_size, bit_keys, dense_size, enforce_cap
 from .errors import IqpError
 
 # Input sums are accepted within NORM_TOL of 1 and then renormalized exactly;
@@ -83,10 +83,8 @@ class ProbVector:
     probs: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise IqpError(f"bit count must be nonnegative, got {self.n}")
+        size = dense_size(as_size(self.n, "bit count"))
         probs = as_array(self.probs, np.float64, "probabilities must be finite").copy()
-        size = dense_size(self.n)
         if probs.ndim != 1 or probs.shape[0] != size:
             raise IqpError(f"expected {size} entries for n={self.n}, got shape {probs.shape}")
         if not np.all(np.isfinite(probs)):
@@ -129,10 +127,8 @@ def validate(raw, n: int) -> ProbVector:
         If raw does not have exactly 2**n entries, if any entry is below
         -1e-12 or not finite, or if the sum is off 1 by more than 1e-9.
     """
-    if n < 0:
-        raise IqpError(f"bit count must be nonnegative, got {n}")
+    size = dense_size(as_size(n, "bit count"))
     arr = as_array(raw, np.float64, "entries must be finite").copy()
-    size = dense_size(n)
     if arr.ndim != 1 or arr.shape[0] != size:
         raise IqpError(f"expected {size} entries for n={n}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, as_array, dense_size, enforce_cap, wht_inplace
+from ._bits import DENSE_MAX_QUBITS, as_array, as_size, dense_size, enforce_cap, wht_inplace
 from .errors import IqpError, OverCap
 from .probdist import ProbVector, validate
 from .synth import GateList, PhaseTable
@@ -50,7 +50,7 @@ class StateVector:
     amps: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        size = dense_size(self.qubits)
+        size = dense_size(as_size(self.qubits, "qubit count"))
         amps = as_array(self.amps, np.complex128, "amplitudes must be finite").copy()
         if amps.shape != (size,):
             raise IqpError(f"expected {size} amplitudes, got shape {amps.shape}")
@@ -138,7 +138,7 @@ def check_sample_count(count: int, seed: int = DEFAULT_SEED) -> None:
     """Refuse a count or seed that is not a nonnegative integer, or a count over
     SAMPLES_MAX, in the words of simulate --samples and --seed; count first."""
     for value, flag in ((count, "--samples"), (seed, "--seed")):
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise IqpError(f"{flag} must be an integer")
         if value < 0:
             raise IqpError(f"{flag} must be nonnegative")

@@ -11,12 +11,12 @@ Every table stacks two-outcome rows, each one evaluation of
     theta_y = pi * parity(b1 & y) + theta_star * parity((b1 ^ b2) & y)
 
 with theta_star = 2 * acos(sqrt(mass)): through a Hadamard layer the row
-yields b1 with probability mass, else b2.  exact_phase_table gives each
-2-sparse mixture component one row over m = n + 1 hidden qubits;
-approx_phase_table gives each multiplicity label v[j] the parity row
-b1 = b2 = v[j], theta_star = 0.  theta_star uses math.acos because
-np.arccos differs from it in the last bit on some inputs, which would
-change circuit bytes.
+yields b1 with probability mass, else b2.  row_table is the one builder
+and the one check of rows: exact_phase_table gives each 2-sparse mixture
+component one row over m = n + 1 hidden qubits; approx_phase_table gives
+each multiplicity label v[j] the parity row b1 = b2 = v[j], theta_star = 0.
+theta_star uses math.acos because np.arccos differs from it in the last
+bit on some inputs, which would change circuit bytes.
 
 walsh_lower rewrites a table as X-rotation gates exp(i * angle * X_S) via
 the Walsh transform of theta; gates_to_phases inverts it.  The two forms
@@ -35,6 +35,7 @@ from numpy.typing import NDArray
 from ._bits import (
     DENSE_MAX_QUBITS,
     as_array,
+    as_size,
     canonical_angle,
     canonical_phase,
     dense_size,
@@ -69,10 +70,9 @@ class PhaseTable:
     theta: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise IqpError("qubit counts must be nonnegative")
+        m, n = as_size(self.m, "hidden qubit count"), as_size(self.n, "visible qubit count")
+        size = dense_size(m + n)
         theta = as_array(self.theta, np.float64, "phases must be finite").ravel()
-        size = dense_size(self.m + self.n)
         if theta.shape[0] != size:
             raise IqpError(f"expected {size} phases, got {theta.shape[0]}")
         if not np.isfinite(theta).all():
@@ -82,42 +82,43 @@ class PhaseTable:
         object.__setattr__(self, "theta", theta)
 
 
-def _row_table(n: int, b1, b2, mass) -> PhaseTable:
-    """The table of one row per (b1, b2, mass), whose 2**m rows give m.  Where
-    b1 == b2 theta_star is exactly 0 and mass, else clamped to [0, 1], is unread."""
-    b1 = np.asarray(b1, dtype=np.uint64)
-    flip = b1 ^ np.asarray(b2, dtype=np.uint64)
-    m = b1.size.bit_length() - 1
-    enforce_cap(m + n, DENSE_MAX_QUBITS, "phase table")
+def row_table(n: int, b1, b2, mass) -> PhaseTable:
+    """The table of one hidden row per (b1[j], b2[j], mass[j]), following the
+    row formula of the module docstring: every table is built, and its rows
+    checked, here.
+
+    b1 and b2 are 1-D integer arrays of one length 2**m, which gives m, with
+    labels in [0, 2**n); mass is a scalar or an array of that length.  Every
+    amplitude of a row keeps modulus 2**(-n/2); through a Hadamard layer row
+    j yields b1[j] with probability mass[j], else b2[j].  Where b1 == b2
+    theta_star is exactly 0 and mass is not read; elsewhere mass must lie in
+    [0, 1] within MASS_TOL, and is clamped into it.
+    """
+    size = dense_size(as_size(n, "bit count"))
+    outside = f"row labels must lie in [0, 2**{n})"
+    b1, b2 = as_array(b1, np.int64, outside), as_array(b2, np.int64, outside)
+    rows = b1.size
+    if b1.ndim != 1 or b2.shape != b1.shape or not rows or rows & (rows - 1):
+        raise IqpError(f"expected 2**m labels in b1 and b2, got shapes {b1.shape} and {b2.shape}")
+    b1, b2 = b1.view(np.uint64), b2.view(np.uint64)
+    if max(b1.max(), b2.max()) >= size:  # a negative label wraps past size
+        raise IqpError(outside)
+    mass = as_array(mass, np.float64, "row masses must lie in [0, 1]")
+    if mass.ndim and mass.shape != b1.shape:
+        raise IqpError(f"expected one mass or {rows} masses, got shape {mass.shape}")
+    flip = b1 ^ b2
     pair = np.flatnonzero(flip)
-    theta_star = np.zeros(b1.size)
-    mass = np.clip(np.broadcast_to(mass, b1.shape)[pair], 0.0, 1.0)
-    theta_star[pair] = [2.0 * math.acos(math.sqrt(x)) for x in mass.tolist()]
-    y = np.arange(1 << n, dtype=np.uint64)
+    mass = np.broadcast_to(mass, b1.shape)[pair]
+    off = ~((mass >= -MASS_TOL) & (mass <= 1.0 + MASS_TOL))  # nan is off
+    if off.any():
+        raise IqpError(f"mass {float(mass[off.argmax()])!r} outside [0, 1]")
+    m = rows.bit_length() - 1
+    enforce_cap(m + n, DENSE_MAX_QUBITS, "phase table")
+    theta_star = np.zeros(rows)
+    theta_star[pair] = [2.0 * math.acos(math.sqrt(x)) for x in np.clip(mass, 0.0, 1.0).tolist()]
+    y = np.arange(size, dtype=np.uint64)
     theta = np.pi * parity(b1[:, None] & y) + theta_star[:, None] * parity(flip[:, None] & y)
     return PhaseTable(m, n, theta)
-
-
-def uma_phases_for_pair(b1: int, b2: int, mass: float, n: int) -> PhaseTable:
-    """One-row table (m = 0) whose measured outcome is b1 with given mass, else b2.
-
-    The row keeps every amplitude at modulus 2**(-n/2); only phases vary,
-    following the row formula of the module docstring.  Through a Hadamard
-    layer the amplitude on b is then alpha if b == b1 and beta if b == b2,
-    with |alpha|**2 == mass, and zero elsewhere.
-
-    When b1 == b2 the row is a plain parity pattern and carries the whole
-    unit of probability; mass is forced to 1 in that case.
-    """
-    size = dense_size(n)
-    if not 0 <= b1 < size:
-        raise IqpError(f"b1={b1} outside [0, {size})")
-    if not 0 <= b2 < size:
-        raise IqpError(f"b2={b2} outside [0, {size})")
-    bad_mass = f"mass {mass!r} outside [0, 1]"
-    if not -MASS_TOL <= as_array(mass, np.float64, bad_mass) <= 1.0 + MASS_TOL:  # nan fails
-        raise IqpError(bad_mass)
-    return _row_table(n, [b1], [b2], mass)
 
 
 def exact_phase_table(p: ProbVector) -> PhaseTable:
@@ -130,8 +131,7 @@ def exact_phase_table(p: ProbVector) -> PhaseTable:
     enforce_cap(2 * p.n + 1, DENSE_MAX_QUBITS, "phase table")  # before decomposing
     parts = decompose_2sparse(p)
     b1, b2 = parts.cols.T  # b2 is -1 where a component has one outcome
-    b2 = np.where(b2 >= 0, b2, b1)
-    return _row_table(p.n, b1, b2, parts.masses[:, 0])
+    return row_table(p.n, b1, np.where(b2 >= 0, b2, b1), parts.masses[:, 0])
 
 
 def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
@@ -141,13 +141,7 @@ def approx_phase_table(v: NDArray[np.int64], n: int) -> PhaseTable:
     on outcome v[j]; mixing rows uniformly weights each outcome by its
     multiplicity.  All phases are 0 or pi.
     """
-    v = np.asarray(v)
-    size = v.size
-    if v.ndim != 1 or not size or size & (size - 1):
-        raise IqpError(f"expected 2**m multiplicity labels, got {size}")
-    if v.dtype.kind not in "iu" or not 0 <= int(v.min()) <= int(v.max()) < dense_size(n):
-        raise IqpError(f"multiplicity labels must lie in [0, 2**{n})")
-    return _row_table(n, v, v, 1.0)
+    return row_table(n, v, v, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +161,9 @@ class GateList:
     angles: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise IqpError("qubit counts must be nonnegative")
+        total = as_size(self.m, "hidden qubit count") + as_size(self.n, "visible qubit count")
         if not np.isfinite(as_array(self.global_phase, np.float64, "global phase must be finite")):
             raise IqpError("global phase must be finite")
-        total = self.m + self.n
         outside = f"gate masks must lie in (0, 2**{total})"
         masks = as_array(self.masks, np.int64, outside).copy()
         angles = as_array(self.angles, np.float64, "gate angles must be finite")

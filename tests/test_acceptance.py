@@ -40,7 +40,7 @@ from iqpsynth.synth import (
     approx_phase_table,
     exact_phase_table,
     gates_to_phases,
-    uma_phases_for_pair,
+    row_table,
     walsh_lower,
 )
 
@@ -193,7 +193,7 @@ def test_criterion_5_two_outcome_rows():
         b1 = int(rng.integers(1 << n))
         b2 = int(rng.integers(1 << n))
         mass = float(rng.random())
-        row = uma_phases_for_pair(b1, b2, mass, n)
+        row = row_table(n, [b1], [b2], mass)
         assert is_uma(StateVector(n, np.exp(1j * row.theta) * 2.0 ** (-0.5 * n)).amps)
         probs = _measure_row(row)
         off = sum(p for b, p in enumerate(probs) if b not in (b1, b2))
@@ -326,7 +326,7 @@ def test_criterion_8_degenerate_inputs():
 
         # single-outcome rows claim the whole mass whatever was asked
         for n in (1, 2, 3, 4):
-            row = uma_phases_for_pair(n % 2, n % 2, 0.37, n)
+            row = row_table(n, [n % 2], [n % 2], 0.37)
             probs = _measure_row(row)
             assert abs(probs[n % 2] - 1.0) <= 1e-12
             checks += 1

@@ -255,9 +255,9 @@ def test_dyadic_tie_prefers_lower_index():
 
 
 def test_dyadic_rejects_negative_m():
-    with pytest.raises(IqpError, match="grid resolution must be nonnegative, got m=-1"):
+    with pytest.raises(IqpError, match="grid resolution m must be a nonnegative integer, got -1"):
         round_to_dyadic(validate([0.5, 0.5], 1), -1)
-    with pytest.raises(IqpError, match="grid resolution must be nonnegative, got m=-1"):
+    with pytest.raises(IqpError, match="grid resolution m must be a nonnegative integer, got -1"):
         build_multiplicity_map(validate([0.0, 1.0], 1), -1)
 
 

@@ -52,7 +52,7 @@ def test_validate_errors():
         validate([np.nan, 1.0], 1)
     with pytest.raises(IqpError, match="entries must be finite"):
         validate([np.inf, 1.0], 1)
-    with pytest.raises(IqpError, match="bit count must be nonnegative, got -1"):
+    with pytest.raises(IqpError, match="bit count must be a nonnegative integer, got -1"):
         validate([1.0], -1)
 
 

@@ -19,13 +19,14 @@ from iqpsynth.synth import (
     approx_phase_table,
     exact_phase_table,
     gates_to_phases,
-    uma_phases_for_pair,
+    row_table,
 )
 
 # Sizes, indices and masks; then masses and angles.  40 is past every dense
-# cap, 2**70 past int64, 5e-324 the smallest subnormal, 1e308 overflows
-# once summed or doubled, and 10**400 is an int past the float range.
-SIZES = st.sampled_from([-1, 0, 1, 2, 40, 2**70])
+# cap, 2**70 past int64, 0.5 and True are not sizes, 5e-324 is the smallest
+# subnormal, 1e308 overflows once summed or doubled, and 10**400 is an int
+# past the float range.
+SIZES = st.sampled_from([-1, 0, 1, 2, 40, 2**70, 0.5, True])
 REALS = st.sampled_from(
     [math.nan, math.inf, -math.inf, 1e308, 5e-324, 0.0, 0.5, 1.0, 10**400, -(10**400)]
 )
@@ -67,7 +68,9 @@ CALLS = {
     ),
     "exact_phase_table": (exact_phase_table, st.tuples(st.sampled_from([TINY, QUARTERS]))),
     "approx_phase_table": (approx_phase_table, st.tuples(listed(SIZES), SIZES)),
-    "uma_phases_for_pair": (uma_phases_for_pair, st.tuples(SIZES, SIZES, REALS, SIZES)),
+    "row_table": (
+        row_table, st.tuples(SIZES, listed(SIZES), listed(SIZES), REALS | listed(REALS))
+    ),
     "gates_to_phases": (gates_to_phases, st.tuples(st.sampled_from([
         GateList(m, n, 0.5, [1, 3][: m + n], [0.25, -1.0][: m + n])
         for m, n in ((0, 0), (1, 1), (0, 40), (2**70, 0))
@@ -114,3 +117,37 @@ def test_negative_probability_is_refused():
 def test_ragged_mixture_is_refused(cols, masses):
     with pytest.raises(IqpError, match="2-D arrays of one shape"):
         Mixture(1, cols, masses)
+
+
+@pytest.mark.parametrize("size", [0.5, True])
+@pytest.mark.parametrize("build", [
+    lambda s: ProbVector(s, [0.0, 1.0]),
+    lambda s: validate([0.0, 1.0], s),
+    lambda s: Mixture(s, [[0]], [[1.0]]),
+    lambda s: StateVector(s, [1.0, 0.0]),
+    lambda s: PhaseTable(s, 0, [0.0, 0.0]),
+    lambda s: PhaseTable(0, s, [0.0, 0.0]),
+    lambda s: GateList(s, 0, 0.0, [1], [0.5]),
+    lambda s: GateList(0, s, 0.0, [1], [0.5]),
+    lambda s: round_to_dyadic(QUARTERS, s),
+    lambda s: build_multiplicity_map(validate([0.5, 0.5], 1), s),
+    lambda s: row_table(s, [0], [1], 0.5),
+], ids=["ProbVector", "validate", "Mixture", "StateVector", "PhaseTable.m", "PhaseTable.n",
+        "GateList.m", "GateList.n", "round_to_dyadic", "build_multiplicity_map", "row_table"])
+def test_sizes_are_nonnegative_integers(build, size):
+    # each call is valid at size 1, so True is refused as a bool, not as a size
+    with pytest.raises(IqpError, match=f"must be a nonnegative integer, got {size!r}"):
+        build(size)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GateList(0, 2, 0.0, [1.9, 2.2], [0.1, 0.2]),
+    lambda: GateList(0, 2, 0.0, np.array([True]), [0.1]),
+    lambda: Mixture(1, [[0.7], [1.2]], [[1.0], [1.0]]),
+    lambda: approx_phase_table([0.0, 1.0], 1),
+    lambda: row_table(1, [0], np.array([True]), 0.5),
+], ids=["GateList-float", "GateList-bool", "Mixture-float", "approx_phase_table-float",
+        "row_table-bool"])
+def test_integer_inputs_are_not_truncated(build):
+    with pytest.raises(IqpError, match="must lie in"):
+        build()

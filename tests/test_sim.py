@@ -173,6 +173,8 @@ def test_sample_deterministic_and_supported():
     (-1, 0, "--samples must be nonnegative"),
     (1.5, 0, "--samples must be an integer"),
     (math.nan, 0, "--samples must be an integer"),
+    (True, 0, "--samples must be an integer"),  # a bool is not a count
+    (2, False, "--seed must be an integer"),
     (-1, -1, "--samples must be nonnegative"),  # the count first, as simulate checks it
 ])
 def test_sample_refuses_bad_count_or_seed(count, seed, message):

@@ -29,7 +29,7 @@ from iqpsynth.synth import (
     approx_phase_table,
     exact_phase_table,
     gates_to_phases,
-    uma_phases_for_pair,
+    row_table,
     walsh_lower,
 )
 
@@ -41,7 +41,7 @@ def measured(row):
 
 
 def test_uma_frozen_half_half():
-    row = uma_phases_for_pair(0, 1, 0.5, 1)
+    row = row_table(1, [0], [1], 0.5)
     assert row.m == 0 and row.n == 1
     assert np.allclose(row.theta, [0.0, np.pi / 2], atol=1e-15)
     assert abs(row.theta[1] - np.pi / 2) < 1e-15  # theta_star of the row
@@ -50,33 +50,42 @@ def test_uma_frozen_half_half():
 
 
 def test_uma_degenerate_pair_takes_all_mass():
-    row = uma_phases_for_pair(3, 3, 0.25, 2)
+    row = row_table(2, [3], [3], 0.25)
     # theta_star is 0: the row is the parity pattern of 3, as at mass 1
     assert np.array_equal(row.theta, np.pi * parity(3 & np.arange(4)))
-    assert np.array_equal(row.theta, uma_phases_for_pair(3, 3, 1.0, 2).theta)
+    assert np.array_equal(row.theta, row_table(2, [3], [3], 1.0).theta)
     probs = measured(row)
     assert abs(probs[3] - 1.0) <= 1e-12
 
 
 def test_uma_extreme_masses():
-    lo = measured(uma_phases_for_pair(1, 2, 0.0, 2))
+    lo = measured(row_table(2, [1], [2], 0.0))
     assert abs(lo[2] - 1.0) <= 1e-12 and lo[1] <= 1e-12
-    hi = measured(uma_phases_for_pair(1, 2, 1.0, 2))
+    hi = measured(row_table(2, [1], [2], 1.0))
     assert abs(hi[1] - 1.0) <= 1e-12 and hi[2] <= 1e-12
 
 
 def test_uma_validation():
-    with pytest.raises(IqpError, match=r"b1=4 outside \[0, 4\)"):
-        uma_phases_for_pair(4, 0, 0.5, 2)
-    with pytest.raises(IqpError, match=r"b2=-1 outside \[0, 4\)"):
-        uma_phases_for_pair(0, -1, 0.5, 2)
-    with pytest.raises(IqpError, match=r"mass 1.5 outside \[0, 1\]"):
-        uma_phases_for_pair(0, 1, 1.5, 2)
-    with pytest.raises(IqpError, match=r"mass nan outside \[0, 1\]"):
-        uma_phases_for_pair(0, 1, float("nan"), 2)
-    # dust beyond the boundary is clamped, not rejected
-    clamped = uma_phases_for_pair(0, 1, 1.0 + 1e-13, 2)
-    assert np.array_equal(clamped.theta, uma_phases_for_pair(0, 1, 1.0, 2).theta)
+    outside = r"row labels must lie in \[0, 2\*\*2\)"
+    shapes = r"expected 2\*\*m labels in b1 and b2"
+    for call, message in (
+        (lambda: row_table(2, [4], [0], 0.5), outside),
+        (lambda: row_table(2, [0], [-1], 0.5), outside),
+        (lambda: row_table(2, [0], [1], 1.5), r"mass 1.5 outside \[0, 1\]"),
+        (lambda: row_table(2, [0, 1], [1, 0], [0.5, float("nan")]), r"mass nan outside \[0, 1\]"),
+        (lambda: row_table(2, [0, 1, 2], [1, 2, 3], 0.5), shapes),
+        (lambda: row_table(2, [0, 1], [1], 0.5), shapes),
+        (lambda: row_table(2, [[0, 1]], [[1, 0]], 0.5), shapes),
+        (lambda: row_table(2, [0.0], [1], 0.5), outside),
+        (lambda: row_table(2, [0, 1], [1, 0], [0.5, 0.5, 0.5]),
+         r"expected one mass or 2 masses, got shape \(3,\)"),
+    ):
+        with pytest.raises(IqpError, match=message):
+            call()
+    # a mass is read only where b1 != b2; dust beyond the boundary is clamped
+    assert row_table(2, [3, 0], [3, 1], [float("nan"), 0.5]).m == 1
+    clamped = row_table(2, [0], [1], 1.0 + 1e-13)
+    assert np.array_equal(clamped.theta, row_table(2, [0], [1], 1.0).theta)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -92,7 +101,7 @@ def test_uma_validation():
 )
 def test_uma_support_and_mass(args):
     n, b1, b2, mass = args
-    row = uma_phases_for_pair(b1, b2, mass, n)
+    row = row_table(n, [b1], [b2], mass)
     assert is_uma(np.exp(1j * row.theta) * 2.0 ** (-0.5 * n), tol=1e-12)
     probs = measured(row)
     off = [p for b, p in enumerate(probs) if b not in (b1, b2)]
@@ -157,7 +166,7 @@ def test_tables_match_single_row_encoding_bit_for_bit(n, extra, seed):
     for j, (cols, masses) in enumerate(zip(parts.cols.tolist(), parts.masses.tolist())):
         b1, mass = cols[0], masses[0]
         b2 = max(cols)
-        row = uma_phases_for_pair(b1, b2, mass, n)
+        row = row_table(n, [b1], [b2], mass)
         assert np.array_equal(rows[j], row.theta)
         if b1 != b2:
             # math.acos, not np.arccos: the two differ in the last bit
@@ -172,7 +181,7 @@ def test_tables_match_single_row_encoding_bit_for_bit(n, extra, seed):
 
 
 def test_approx_table_needs_power_of_two_labels():
-    with pytest.raises(IqpError, match=r"expected 2\*\*m multiplicity labels, got 3"):
+    with pytest.raises(IqpError, match=r"expected 2\*\*m labels in b1 and b2, got shapes \(3,\)"):
         approx_phase_table(np.array([0, 1, 1]), 1)
     assert approx_phase_table(np.array([0, 1, 1, 1]), 1).m == 2
 
@@ -207,8 +216,9 @@ def test_gatelist_validation():
     with pytest.raises(IqpError, match=outside):
         GateList(0, 2, 0.0, [-1], [0.5])
     for m, n in ((-1, 2), (2, -1)):
-        with pytest.raises(IqpError, match="qubit counts must be nonnegative"):
+        with pytest.raises(IqpError, match="qubit count must be a nonnegative integer, got -1"):
             GateList(m, n, 0.0, [], [])
+    assert len(GateList(0, 2, 0.0, [], [])) == 0  # empty lists are read as floats
     with pytest.raises(IqpError, match="global phase must be finite"):
         GateList(0, 2, float("inf"), [], [])
     with pytest.raises(IqpError, match="gate angles must be finite"):
