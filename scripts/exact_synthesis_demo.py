@@ -65,7 +65,7 @@ def main(argv=None):
         diag = iqp_state(pt)
         gate = simulate_gates(g)
         print(f"gate path amplitude error = "
-              f"{format_float(float(np.abs(gate.amps - diag.amps).max()))}")
+              f"{format_float(float(np.abs(gate - diag).max()))}")
         print("\ncircuit file:")
         print(serialize_circuit(gates=g, mode="exact"), end="")
 

@@ -46,10 +46,17 @@ def as_size(value, what: str) -> int:
 def as_array(values, dtype, message: str) -> np.ndarray:
     """np.asarray(values, dtype), so an array of that dtype is not copied; an
     integer past the dtype's range, or for an integer dtype a nonempty float or
-    bool input (which numpy would truncate), raises IqpError(message)."""
+    bool array or a list with a float or bool in it (which numpy would
+    truncate), raises IqpError(message)."""
     if np.dtype(dtype).kind in "iu":
         given = np.asarray(values)
         if given.size and given.dtype.kind in "fcb":
+            raise IqpError(message)
+        # numpy casts [True, 2] to int64, so a list is checked element by element
+        if not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_, float, np.floating))
+            for x in np.asarray(values, dtype=object).flat
+        ):
             raise IqpError(message)
     try:
         return np.asarray(values, dtype=dtype)

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, as_array, as_size, dense_size, enforce_cap, wht_inplace
-from .errors import IqpError, OverCap
+from ._bits import DENSE_MAX_QUBITS, enforce_cap, wht_inplace
+from .errors import InternalError, IqpError, OverCap
 from .probdist import ProbVector, validate
 from .synth import GateList, PhaseTable
 
@@ -42,27 +41,9 @@ SAMPLES_MAX = 1 << 24
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Unit-norm complex amplitudes over 2**qubits basis states."""
-
-    qubits: int
-    amps: NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        size = dense_size(as_size(self.qubits, "qubit count"))
-        amps = as_array(self.amps, np.complex128, "amplitudes must be finite").copy()
-        if amps.shape != (size,):
-            raise IqpError(f"expected {size} amplitudes, got shape {amps.shape}")
-        norm = float(np.vdot(amps, amps).real)
-        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
-            raise IqpError(f"squared norm {norm!r} is not 1 within {_NORM_TOL}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
-
-
-def iqp_state(pt: PhaseTable) -> StateVector:
-    """The circuit's joint state, H^(m+n) exp(i*theta) H^(m+n) |0...0>.
+def iqp_state(pt: PhaseTable) -> NDArray[np.complex128]:
+    """The circuit's joint state, H^(m+n) exp(i*theta) H^(m+n) |0...0>, as
+    2**(m+n) read-only amplitudes.
 
     The first Hadamard layer makes the uniform superposition, so the state
     is one Walsh transform of exp(i*theta), scaled by 2**-(m+n).
@@ -71,12 +52,16 @@ def iqp_state(pt: PhaseTable) -> StateVector:
     enforce_cap(total, DENSE_MAX_QUBITS, "dense state")
     amps = wht_inplace(np.exp(1j * pt.theta))
     amps *= 2.0**-total
-    return StateVector(total, amps)
+    norm = float(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= _NORM_TOL:  # a bug, as a checked table gives a unit state
+        raise InternalError(f"squared norm {norm!r} is not 1 within {_NORM_TOL}")
+    amps.flags.writeable = False
+    return amps
 
 
 def marginal_full(pt: PhaseTable) -> ProbVector:
     """Visible marginal via the joint state, tracing out the hidden register."""
-    amps = iqp_state(pt).amps
+    amps = iqp_state(pt)
     joint = amps.real**2 + amps.imag**2
     probs = joint.reshape(1 << pt.m, 1 << pt.n).sum(axis=0)
     return validate(probs, pt.n)
@@ -103,8 +88,9 @@ def marginal_mixture(pt: PhaseTable) -> ProbVector:
     return validate(acc / float(1 << (pt.m + 2 * pt.n)), pt.n)
 
 
-def simulate_gates(g: GateList) -> StateVector:
-    """Run exp(i * angle * X_S) gates on the all-zeros state.
+def simulate_gates(g: GateList) -> NDArray[np.complex128]:
+    """Run exp(i * angle * X_S) gates on the all-zeros state; the result is
+    2**(m+n) read-only amplitudes.
 
     Gates commute, so list order cannot matter; each application is
     cos(a) * psi + i*sin(a) * (psi with the mask bits flipped).
@@ -130,8 +116,10 @@ def simulate_gates(g: GateList) -> StateVector:
     norm = float(np.vdot(amps, amps).real)
     tol = _NORM_TOL + 4 * np.finfo(np.float64).eps * len(g)
     if not abs(norm - 1.0) <= tol:
-        raise IqpError(f"squared norm {norm!r} is not 1 within {tol} over {len(g)} gates")
-    return StateVector(total, amps * (np.exp(1j * g.global_phase) / math.sqrt(norm)))
+        raise InternalError(f"squared norm {norm!r} is not 1 within {tol} over {len(g)} gates")
+    amps *= np.exp(1j * g.global_phase) / math.sqrt(norm)
+    amps.flags.writeable = False
+    return amps
 
 
 def check_sample_count(count: int, seed: int = DEFAULT_SEED) -> None:

@@ -28,7 +28,6 @@ from iqpsynth.decompose import (
 )
 from iqpsynth.probdist import serialize_dist, tv_distance, validate
 from iqpsynth.sim import (
-    StateVector,
     iqp_state,
     marginal_full,
     marginal_mixture,
@@ -180,7 +179,7 @@ def test_criterion_4_two_sparse_decomposition():
 
 
 def _measure_row(row) -> np.ndarray:
-    return np.abs(iqp_state(row).amps) ** 2
+    return np.abs(iqp_state(row)) ** 2
 
 
 def test_criterion_5_two_outcome_rows():
@@ -194,7 +193,7 @@ def test_criterion_5_two_outcome_rows():
         b2 = int(rng.integers(1 << n))
         mass = float(rng.random())
         row = row_table(n, [b1], [b2], mass)
-        assert is_uma(StateVector(n, np.exp(1j * row.theta) * 2.0 ** (-0.5 * n)).amps)
+        assert is_uma(np.exp(1j * row.theta) * 2.0 ** (-0.5 * n))
         probs = _measure_row(row)
         off = sum(p for b, p in enumerate(probs) if b not in (b1, b2))
         mass_err = abs(probs[b1] - (1.0 if b1 == b2 else mass))
@@ -251,14 +250,14 @@ def test_criterion_7_gate_paths():
         g = walsh_lower(pt)
         reference = iqp_state(pt)
         from_gates = simulate_gates(g)
-        overlap = abs(complex(np.vdot(reference.amps, from_gates.amps)))
+        overlap = abs(complex(np.vdot(reference, from_gates)))
         assert overlap >= 1.0 - 1e-9
         order = list(range(len(g)))
         shuffler.shuffle(order)
         reordered = simulate_gates(
             GateList(m, n, g.global_phase, g.masks[order], g.angles[order])
         )
-        shuffle_gap = float(np.abs(reordered.amps - from_gates.amps).max())
+        shuffle_gap = float(np.abs(reordered - from_gates).max())
         assert shuffle_gap <= 1e-12
         back = gates_to_phases(g)
         delta = np.abs(back.theta - pt.theta)

@@ -12,7 +12,7 @@ from iqpsynth import circuit, decompose, probdist, sim, synth
 from iqpsynth.decompose import Mixture, build_multiplicity_map, round_to_dyadic
 from iqpsynth.errors import IqpError
 from iqpsynth.probdist import ProbVector, validate
-from iqpsynth.sim import StateVector, sample
+from iqpsynth.sim import sample
 from iqpsynth.synth import (
     GateList,
     PhaseTable,
@@ -58,7 +58,6 @@ QUARTERS = validate([0.25, 0.0, 0.5, 0.25], 2)
 CALLS = {
     "validate": (validate, st.tuples(listed(REALS), SIZES)),
     "ProbVector": (ProbVector, st.tuples(SIZES, listed(REALS))),
-    "StateVector": (StateVector, st.tuples(SIZES, listed(REALS))),
     "Mixture": (Mixture, mixtures()),
     "PhaseTable": (PhaseTable, st.tuples(SIZES, SIZES, listed(REALS))),
     "GateList": (GateList, st.tuples(SIZES, SIZES, REALS, listed(SIZES), listed(REALS))),
@@ -124,7 +123,6 @@ def test_ragged_mixture_is_refused(cols, masses):
     lambda s: ProbVector(s, [0.0, 1.0]),
     lambda s: validate([0.0, 1.0], s),
     lambda s: Mixture(s, [[0]], [[1.0]]),
-    lambda s: StateVector(s, [1.0, 0.0]),
     lambda s: PhaseTable(s, 0, [0.0, 0.0]),
     lambda s: PhaseTable(0, s, [0.0, 0.0]),
     lambda s: GateList(s, 0, 0.0, [1], [0.5]),
@@ -132,8 +130,8 @@ def test_ragged_mixture_is_refused(cols, masses):
     lambda s: round_to_dyadic(QUARTERS, s),
     lambda s: build_multiplicity_map(validate([0.5, 0.5], 1), s),
     lambda s: row_table(s, [0], [1], 0.5),
-], ids=["ProbVector", "validate", "Mixture", "StateVector", "PhaseTable.m", "PhaseTable.n",
-        "GateList.m", "GateList.n", "round_to_dyadic", "build_multiplicity_map", "row_table"])
+], ids=["ProbVector", "validate", "Mixture", "PhaseTable.m", "PhaseTable.n", "GateList.m",
+        "GateList.n", "round_to_dyadic", "build_multiplicity_map", "row_table"])
 def test_sizes_are_nonnegative_integers(build, size):
     # each call is valid at size 1, so True is refused as a bool, not as a size
     with pytest.raises(IqpError, match=f"must be a nonnegative integer, got {size!r}"):
@@ -146,8 +144,11 @@ def test_sizes_are_nonnegative_integers(build, size):
     lambda: Mixture(1, [[0.7], [1.2]], [[1.0], [1.0]]),
     lambda: approx_phase_table([0.0, 1.0], 1),
     lambda: row_table(1, [0], np.array([True]), 0.5),
+    lambda: GateList(0, 2, 0.0, [True, 2], [0.1, 0.2]),
+    lambda: row_table(2, [True, 2], [1, 2], 0.5),
+    lambda: Mixture(1, [[True], [1]], [[1.0], [1.0]]),
 ], ids=["GateList-float", "GateList-bool", "Mixture-float", "approx_phase_table-float",
-        "row_table-bool"])
+        "row_table-bool", "GateList-mixed", "row_table-mixed", "Mixture-mixed"])
 def test_integer_inputs_are_not_truncated(build):
     with pytest.raises(IqpError, match="must lie in"):
         build()

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpsynth import sim
-from iqpsynth.errors import IqpError, OverCap
+from iqpsynth.errors import InternalError, IqpError, OverCap
 from iqpsynth.probdist import validate
 from iqpsynth.sim import (
     DEFAULT_SEED,
-    StateVector,
     iqp_state,
     marginal_full,
     marginal_mixture,
@@ -29,12 +28,19 @@ def random_table(rng, m, n):
     return PhaseTable(m, n, rng.uniform(0.0, 2.0 * np.pi, 1 << (m + n)))
 
 
-def test_statevector_validation():
-    StateVector(1, np.array([1.0, 0.0]))
-    with pytest.raises(IqpError, match="squared norm 2.0 is not 1 within 1e-12"):
-        StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(IqpError, match=r"expected 4 amplitudes, got shape \(2,\)"):
-        StateVector(2, np.array([1.0, 0.0]))
+def test_states_are_read_only_arrays_and_norm_faults_are_bugs(monkeypatch):
+    pt = random_table(np.random.default_rng(3), 1, 2)
+    for amps in (iqp_state(pt), simulate_gates(walsh_lower(pt))):
+        assert isinstance(amps, np.ndarray) and amps.dtype == np.complex128
+        assert amps.shape == (8,) and not amps.flags.writeable
+    # a kernel that doubles its output gives squared norm 4: a bug, exit 4
+    kernel = sim.wht_inplace
+    monkeypatch.setattr(sim, "wht_inplace", lambda a: 2.0 * kernel(a))
+    with pytest.raises(InternalError, match="squared norm 4.0 is not 1 within 1e-12"):
+        iqp_state(pt)
+    monkeypatch.setattr(sim, "_NORM_TOL", -1.0)  # no squared norm is within a negative tolerance
+    with pytest.raises(InternalError, match="squared norm 1.0 is not 1"):
+        simulate_gates(GateList(0, 1, 0.0, [], []))
 
 
 def test_hadamard_layer_undoes_trivial_diagonal():
@@ -42,7 +48,7 @@ def test_hadamard_layer_undoes_trivial_diagonal():
     out = iqp_state(PhaseTable(1, 2, np.zeros(8)))
     want = np.zeros(8, dtype=np.complex128)
     want[0] = 1.0
-    assert np.abs(out.amps - want).max() <= 1e-15
+    assert np.abs(out - want).max() <= 1e-15
 
 
 def test_hadamard_layer_single_qubit_convention():
@@ -52,7 +58,7 @@ def test_hadamard_layer_single_qubit_convention():
     out = iqp_state(PhaseTable(0, 3, np.pi * ((x >> 2 & 1) ^ (x >> 1 & 1))))
     want = np.zeros(8, dtype=np.complex128)
     want[0b110] = 1.0
-    assert np.abs(out.amps - want).max() <= 1e-15
+    assert np.abs(out - want).max() <= 1e-15
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -63,7 +69,7 @@ def test_hadamard_layer_matches_kron_oracle(m, n, seed):
     q = m + n
     diagonal = np.exp(1j * pt.theta) * 2.0 ** (-0.5 * q)
     want = oracle_hadamard_all(diagonal, q)
-    assert np.abs(iqp_state(pt).amps - want).max() <= 1e-12
+    assert np.abs(iqp_state(pt) - want).max() <= 1e-12
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -94,8 +100,8 @@ def test_mixture_chunking_boundaries(monkeypatch):
 def test_simulate_gates_frozen_single_rotation():
     g = GateList(0, 1, 0.0, [1], [np.pi / 2])
     out = simulate_gates(g)
-    assert abs(out.amps[0]) <= 1e-15
-    assert abs(out.amps[1] - 1j) <= 1e-15
+    assert abs(out[0]) <= 1e-15
+    assert abs(out[1] - 1j) <= 1e-15
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -116,17 +122,17 @@ def test_simulate_gates_matches_matrix_oracle(q, seed):
     for support, angle in zip(supports, g.angles.tolist()):
         amps = oracle_xrot_matrix(support, angle, q) @ amps
     amps *= np.exp(1j * g.global_phase)
-    assert np.abs(got.amps - amps).max() <= 1e-12
+    assert np.abs(got - amps).max() <= 1e-12
 
 
 def test_simulate_gates_rescales_rounding_drift():
     # every support of 13 qubits at one angle: per-gate rounding drifts the
-    # squared norm about 1.2e-12 from 1, past the 1e-12 of a StateVector
+    # squared norm about 1.2e-12 from 1, past the 1e-12 that iqp_state allows
     q = 13
     g = GateList(0, q, 0.0, np.arange(1, 1 << q), np.full((1 << q) - 1, 0.560257))
     got = simulate_gates(g)
     want = iqp_state(gates_to_phases(g))
-    assert np.abs(got.amps - want.amps).max() <= 1e-9
+    assert np.abs(got - want).max() <= 1e-9
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -140,7 +146,7 @@ def test_gate_order_is_irrelevant(m, n, seed):
     order = list(range(len(g)))
     random.Random(seed).shuffle(order)
     h = GateList(g.m, g.n, g.global_phase, g.masks[order], g.angles[order])
-    assert np.abs(simulate_gates(g).amps - simulate_gates(h).amps).max() <= 1e-12
+    assert np.abs(simulate_gates(g) - simulate_gates(h)).max() <= 1e-12
 
 
 def test_qubit_caps(monkeypatch):
