@@ -44,12 +44,17 @@ def as_size(value, what: str) -> int:
 
 
 def as_array(values, dtype, message: str) -> np.ndarray:
-    """np.asarray(values, dtype), so an array of that dtype is not copied; an
-    integer past the dtype's range, or for an integer dtype a nonempty float or
-    bool array or a list with a float or bool in it (which numpy would
-    truncate), raises IqpError(message)."""
+    """np.asarray(values, dtype), so an array of that dtype is not copied; a
+    str, bytes or None in values (which numpy would parse or refuse with its
+    own errors), an integer past the dtype's range, or for an integer dtype a
+    nonempty float or bool array or a list with a float or bool in it (which
+    numpy would truncate), raises IqpError(message)."""
+    given = np.asarray(values)
+    if given.dtype.kind in "US" or given.dtype == object and any(
+        x is None or isinstance(x, (str, bytes)) for x in given.flat
+    ):
+        raise IqpError(message)
     if np.dtype(dtype).kind in "iu":
-        given = np.asarray(values)
         if given.size and given.dtype.kind in "fcb":
             raise IqpError(message)
         # numpy casts [True, 2] to int64, so a list is checked element by element
@@ -59,7 +64,7 @@ def as_array(values, dtype, message: str) -> np.ndarray:
         ):
             raise IqpError(message)
     try:
-        return np.asarray(values, dtype=dtype)
+        return given if given.dtype == dtype else np.asarray(values, dtype=dtype)
     except OverflowError:
         raise IqpError(message) from None
 

@@ -9,8 +9,9 @@ Circuit files are plain text:
     PHASE 010 3.1415926535897931
 
 PHASE lines give theta at one basis bitstring (length m+n, qubit 0 first);
-missing bitstrings default to 0 and duplicates are rejected.  A file may
-carry a phase table, a gate list, or both.
+missing bitstrings default to 0 and duplicates are rejected.  The writer
+puts down the line of bitstring 0 and of every nonzero phase, in ascending
+order.  A file may carry a phase table, a gate list, or both.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def serialize_circuit(
 ) -> str:
     """Render a circuit file with a header and the requested blocks.
 
-    The header sizes are the blocks' own.  Phase lines cover every basis
-    bitstring in ascending order so the file round-trips even when phases
-    are zero.
+    The header sizes are the blocks' own.  Phase lines ascend and cover
+    bitstring 0 and every nonzero phase; the reader takes a missing line
+    as 0, so the file round-trips, and line 0 keeps an all-zero table.
     """
     blocks = [block for block in (table, gates) if block is not None]
     if not blocks:
@@ -68,40 +69,45 @@ def serialize_circuit(
     return "".join(["\n".join(lines) + "\n", *xrots, *phases])
 
 
-# Circuit text is written and read a bounded block at a time: PHASE lines
-# are written _CHUNK_ROWS to a block, and a block read runs at most to the
-# first newline at least _CHUNK_CHARS characters past its start.
-# _CHUNK_ROWS is a power of two, so the rows of a PHASE block share their
-# high bits.
+# Circuit text is written and read a bounded block at a time: a PHASE block
+# holds the written lines of one window of _CHUNK_ROWS rows, and a block read
+# runs at most to the first newline at least _CHUNK_CHARS characters past its
+# start.  _CHUNK_ROWS is a power of two, so the rows of a PHASE block share
+# their high bits.
 _CHUNK_ROWS = 1 << 12
 _CHUNK_CHARS = 1 << 17
 
 
 @cache
-def _phase_tails(width: int) -> tuple[str, ...]:
+def _phase_tails(width: int) -> NDArray[np.object_]:
     """The low `width` bits of every row of a block, each with its trailing space."""
-    return tuple(f"{low:0{width}b} " for low in range(1 << width)) if width else ("",)
+    return np.array([f"{low:0{width}b} " for low in range(1 << width)] if width else [""], object)
 
 
 def _phase_blocks(theta: NDArray[np.float64], total: int) -> Iterator[str]:
     """The PHASE lines of a table, one newline-terminated block at a time.
 
     Line x reads f"PHASE {x:0{total}b} {format_float(theta[x])}", with no
-    bits at total 0.  Blocks start at multiples of _CHUNK_ROWS = 2**12, so
-    the lines of a block share one head, "PHASE " and the bits above the
-    low 12, and take the low bits and their trailing space from one cached
-    tuple per width.  Each line is three join pieces, head, tail and value,
-    and each distinct phase of a block is formatted once.
+    bits at total 0.  Only line 0 and the lines of nonzero phases are
+    written, as a missing line reads as 0.  A block holds the written lines
+    of one window of _CHUNK_ROWS = 2**12 rows, so they share one head,
+    "PHASE " and the bits above the low 12, and take the low bits and their
+    trailing space from one cached array per width.  Each line is three join
+    pieces, head, tail and value, and each distinct phase of a block is
+    formatted once.
     """
     low = min(total, _CHUNK_ROWS.bit_length() - 1)
     tails = _phase_tails(low)
-    for start in range(0, theta.size, _CHUNK_ROWS):
-        stop = min(theta.size, start + _CHUNK_ROWS)
-        head = f"PHASE {start >> low:0{total - low}b}" if total > low else "PHASE "
-        distinct, inverse = np.unique(theta[start:stop], return_inverse=True)
+    kept = theta != 0
+    kept[0] = True
+    rows = np.flatnonzero(kept)
+    for block in np.split(rows, np.flatnonzero(np.diff(rows >> low)) + 1):
+        window = int(block[0]) >> low
+        head = f"PHASE {window:0{total - low}b}" if total > low else "PHASE "
+        distinct, inverse = np.unique(theta[block], return_inverse=True)
         values = np.array([format_float(v) + "\n" for v in distinct.tolist()], object)
-        pieces = [head] * (3 * (stop - start))
-        pieces[1::3] = tails[: stop - start]
+        pieces = [head] * (3 * block.size)
+        pieces[1::3] = tails[block & ((1 << low) - 1)].tolist()
         pieces[2::3] = values[inverse].tolist()
         yield "".join(pieces)
 

@@ -480,11 +480,11 @@ def pinned_dist(n):
 # sha256 of `synth` output, frozen so that every refactor of synthesis,
 # lowering or serialization must keep the circuit bytes.
 PINNED_SYNTH = (
-    (5, [], "ddce101bcf835740742e0260759c9dbd08b01132d95690088bdacc2da624672d"),
+    (5, [], "e4b6934c566dc674bf8bcb82e9e6147ec93d01cb305258b46292c907a68d11e1"),
     (
         4,
         ["--lower"],
-        "89cce87bfd0c4e46384aef3d8f239383320101d2d1c22e51af20c37bcf6d781d",
+        "8dbde083b886136508f7819fd60d5f38bd533a952fc87d02d1e7c0690d811297",
     ),
     (
         4,
@@ -494,7 +494,7 @@ PINNED_SYNTH = (
     (
         6,
         ["--mode", "approx", "--m", "8"],
-        "e15a7ed13a513f428109dd45ed799733710d00cc048d561b3fcc9567c72cbd1d",
+        "149e102741e770373c1892d3b349e051296d028f2995d60521567cee977800e8",
     ),
 )
 
@@ -509,7 +509,7 @@ def test_synth_bytes_are_pinned(n, flags, digest, tmp_path, capsys):
 
 
 # sha256 of the `verify` report without its timings, followed by `simulate`
-# output, on an exact n=6 table (8,194 lines, two PHASE blocks) and an approx
+# output, on an exact n=6 table (5,667 lines, two PHASE blocks) and an approx
 # n=6 --m 8 table, frozen so that a refactor of the circuit reader or of the
 # marginals must keep every reported figure bit for bit.
 PINNED_VERIFY = (

@@ -152,3 +152,23 @@ def test_sizes_are_nonnegative_integers(build, size):
 def test_integer_inputs_are_not_truncated(build):
     with pytest.raises(IqpError, match="must lie in"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GateList(0, 2, 0.0, ["a"], [0.1]),
+    lambda: GateList(0, 2, 0.0, [None], [0.1]),
+    lambda: GateList(0, 2, 0.0, ["1", "2"], ["0.1", "0.2"]),
+    lambda: row_table(1, ["0"], ["1"], 0.5),
+    lambda: row_table(1, [0], [1], "0.5"),
+    lambda: validate(["0.5", "0.5"], 1),
+    lambda: ProbVector(1, ["0.5", "0.5"]),
+    lambda: PhaseTable(0, 1, ["0", "1"]),
+    lambda: PhaseTable(0, 1, [b"0", b"1"]),
+    lambda: Mixture(1, [["0"], ["1"]], [[1.0], [1.0]]),
+], ids=["GateList-letter", "GateList-None", "GateList-digits", "row_table-labels",
+        "row_table-mass", "validate", "ProbVector", "PhaseTable-str", "PhaseTable-bytes",
+        "Mixture"])
+def test_non_numbers_are_refused(build):
+    # numpy would parse the digit strings as numbers, and raise its own errors on the rest
+    with pytest.raises(IqpError):
+        build()

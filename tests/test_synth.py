@@ -431,9 +431,11 @@ def test_phase_lines_match_a_per_line_writer(total):
     )
 
     def reference(rows):
+        # line x is written exactly when x == 0 or theta[x] != 0
         return "".join(
             f"PHASE {x:0{total}b} {format_float(v)}\n" if total else f"PHASE {format_float(v)}\n"
             for x, v in enumerate(theta[:rows].tolist())
+            if x == 0 or v != 0.0
         )
 
     def assert_same_lines(got, want):
@@ -450,7 +452,54 @@ def test_phase_lines_match_a_per_line_writer(total):
     for rows in sorted({1, 4095, 4096, 4097, 8191, 8193, size} & set(range(1, size + 1))):
         blocks = list(circuit._phase_blocks(theta[:rows], total))
         assert_same_lines("".join(blocks), reference(rows))
-        assert [b.count("\n") for b in blocks[:-1]] == [circuit._CHUNK_ROWS] * (len(blocks) - 1)
+        # a block's rows ascend within one window of 2**12 rows
+        for block in blocks:
+            keys = [int(line.split()[1], 2) if total else 0 for line in block.splitlines()]
+            assert keys == sorted(set(keys))
+            assert keys[0] >> 12 == keys[-1] >> 12
+
+
+def test_all_zero_table_writes_one_phase_line():
+    for total in range(4):
+        pt = PhaseTable(total // 2, total - total // 2, np.zeros(1 << total))
+        line = f"PHASE {'0' * total} 0\n" if total else "PHASE 0\n"
+        text = serialize_circuit(table=pt)
+        assert text == f"HEADER m={pt.m} n={pt.n}\n" + line
+        assert round_trip(table=pt).table.theta.tolist() == [0.0] * (1 << total)
+
+
+def test_empty_phase_windows_write_no_block():
+    theta = np.zeros(1 << 14)
+    theta[-1] = 1.5
+    blocks = list(circuit._phase_blocks(PhaseTable(7, 7, theta).theta, 14))
+    assert blocks == [f"PHASE {'0' * 14} 0\n", f"PHASE {'1' * 14} 1.5\n"]
+
+
+def test_negative_zero_phase_is_omitted():
+    pt = PhaseTable(1, 1, [1.0, -0.0, 0.5, -0.0])
+    assert not np.signbit(pt.theta).any()
+    text = serialize_circuit(table=pt)
+    assert text == "HEADER m=1 n=1\nPHASE 00 1\nPHASE 10 0.5\n"
+
+
+@pytest.mark.parametrize("total", [1, 5, 13, 14])
+@pytest.mark.parametrize("zeros", [0.5, 0.9, 1.0])
+def test_sparse_and_full_phase_text_read_to_one_table(total, zeros):
+    rng = np.random.default_rng(total)
+    theta = np.where(rng.random(1 << total) < zeros, 0.0, rng.uniform(0.0, 7.0, 1 << total))
+    theta[-1] = 0.0  # at least one line is left out
+    pt = PhaseTable(total // 2, total - total // 2, theta)
+    sparse = serialize_circuit(table=pt)
+    # every line written, as circuit files from before zero phases were left out
+    bits = [f"{x:0{total}b} " if total else "" for x in range(1 << total)]
+    full = "".join([f"HEADER m={pt.m} n={pt.n}\n"] + [
+        f"PHASE {b}{format_float(v)}\n" for b, v in zip(bits, pt.theta.tolist())
+    ])
+    assert sparse.count("\n") == 2 + np.count_nonzero(pt.theta[1:])
+    for text in (sparse, full):
+        assert parse_circuit(text).table.theta.view(np.uint64).tobytes() == (
+            pt.theta.view(np.uint64).tobytes()
+        )
 
 
 def test_circuit_file_blocks_are_optional():
