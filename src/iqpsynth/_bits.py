@@ -45,27 +45,28 @@ def as_size(value, what: str) -> int:
 
 def as_array(values, dtype, message: str) -> np.ndarray:
     """np.asarray(values, dtype), so an array of that dtype is not copied; a
-    str, bytes or None in values (which numpy would parse or refuse with its
-    own errors), an integer past the dtype's range, or for an integer dtype a
-    nonempty float or bool array or a list with a float or bool in it (which
-    numpy would truncate), raises IqpError(message)."""
-    given = np.asarray(values)
-    if given.dtype.kind in "US" or given.dtype == object and any(
-        x is None or isinstance(x, (str, bytes)) for x in given.flat
-    ):
-        raise IqpError(message)
-    if np.dtype(dtype).kind in "iu":
-        if given.size and given.dtype.kind in "fcb":
-            raise IqpError(message)
-        # numpy casts [True, 2] to int64, so a list is checked element by element
-        if not isinstance(values, np.ndarray) and any(
-            isinstance(x, (bool, np.bool_, float, np.floating))
-            for x in np.asarray(values, dtype=object).flat
+    str, bytes, None or complex number in values, ragged nesting or anything
+    else numpy cannot read as a real number, an integer past the dtype's
+    range, or for an integer dtype a nonempty float or bool array or a list
+    with a float or bool in it (which numpy would truncate), raises
+    IqpError(message)."""
+    try:
+        given = np.asarray(values)
+        if given.dtype.kind in "USc" or given.dtype == object and any(
+            x is None or isinstance(x, (str, bytes, complex, np.complexfloating)) for x in given.flat
         ):
             raise IqpError(message)
-    try:
+        if np.dtype(dtype).kind in "iu":
+            if given.size and given.dtype.kind in "fb":
+                raise IqpError(message)
+            # numpy casts [True, 2] to int64, so a list is checked element by element
+            if not isinstance(values, np.ndarray) and any(
+                isinstance(x, (bool, np.bool_, float, np.floating))
+                for x in np.asarray(values, dtype=object).flat
+            ):
+                raise IqpError(message)
         return given if given.dtype == dtype else np.asarray(values, dtype=dtype)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         raise IqpError(message) from None
 
 

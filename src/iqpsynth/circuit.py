@@ -31,6 +31,9 @@ from .errors import IqpError
 from .probdist import format_float
 from .synth import GateList, PhaseTable
 
+# The synthesis modes a "# mode:" note may name; the reader drops any other.
+MODES = ("exact", "approx")
+
 
 @dataclass(frozen=True)
 class ParsedCircuit:
@@ -60,13 +63,12 @@ def serialize_circuit(
     m, n = blocks[0].m, blocks[0].n
     if (blocks[-1].m, blocks[-1].n) != (m, n):
         raise IqpError("table and gates disagree on sizes")
-    lines = []
-    if mode is not None:
-        lines.append(f"# mode: {mode}")
-    lines.append(f"HEADER m={m} n={n}")
+    if mode not in (None, *MODES):
+        raise IqpError(f"mode must be one of {MODES}, got {mode!r}")
+    note = "" if mode is None else f"# mode: {mode}\n"
     xrots = () if gates is None else _xrot_blocks(gates)
     phases = () if table is None else _phase_blocks(table.theta, m + n)
-    return "".join(["\n".join(lines) + "\n", *xrots, *phases])
+    return "".join([note, f"HEADER m={m} n={n}\n", *xrots, *phases])
 
 
 # Circuit text is written and read a bounded block at a time: a PHASE block
@@ -307,7 +309,7 @@ class _CircuitReader:
             line, hashmark, comment = raw.partition("#")
             if hashmark and self.mode is None:
                 note = _MODE_NOTE.match(comment.strip())
-                if note and note.group(1) in ("exact", "approx"):
+                if note and note.group(1) in MODES:
                     self.mode = note.group(1)
             tokens = line.split()
             if not tokens:

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from ._bits import DENSE_MAX_QUBITS, enforce_cap
-from .circuit import ParsedCircuit, parse_circuit, serialize_circuit
+from .circuit import MODES, ParsedCircuit, parse_circuit, serialize_circuit
 from .decompose import (
     allocate_3sparse,
     build_multiplicity_map,
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="compile a distribution into a circuit")
     synth.add_argument("input", help="distribution JSON file")
     synth.add_argument("-o", "--output", help="circuit file (default stdout)")
-    synth.add_argument("--mode", choices=("exact", "approx"), default="exact")
+    synth.add_argument("--mode", choices=MODES, default="exact")
     synth.add_argument("--m", type=int, help="hidden qubits (approx mode only)")
     synth.add_argument(
         "--format", choices=("phasetable", "gates"), default="phasetable"

@@ -57,14 +57,10 @@ class Mixture:
 
     def __post_init__(self) -> None:
         size = dense_size(as_size(self.n, "bit count"))
-        bad_shape = "component columns and values must be 2-D arrays of one shape"
-        try:
-            cols = as_array(self.cols, np.int64, f"component entries must lie in [0, {size})")
-            masses = as_array(self.masses, np.float64, "component values must be finite")
-        except ValueError:  # ragged nested lists
-            raise IqpError(bad_shape) from None
+        cols = as_array(self.cols, np.int64, f"component entries must lie in [0, {size})")
+        masses = as_array(self.masses, np.float64, "component values must be finite")
         if cols.ndim != 2 or cols.shape != masses.shape:
-            raise IqpError(bad_shape)
+            raise IqpError("component columns and values must be 2-D arrays of one shape")
         filled = cols >= 0
         for message, bad in (
             ("entries must be distinct and ascending",

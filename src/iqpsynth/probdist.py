@@ -200,9 +200,7 @@ def parse_dist(text: str) -> ProbVector:
     unknown = set(obj) - {"n", "probs", "dense"}
     if unknown:
         raise IqpError(f"unknown keys: {sorted(unknown)}")
-    n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise IqpError('"n" must be a nonnegative integer')
+    n = as_size(obj.get("n"), '"n"')
     enforce_cap(n, DENSE_MAX_QUBITS, "distribution")
     has_probs = "probs" in obj
     has_dense = "dense" in obj

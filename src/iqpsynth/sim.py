@@ -17,13 +17,12 @@ significant bit of the basis index.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._bits import DENSE_MAX_QUBITS, enforce_cap, wht_inplace
-from .errors import InternalError, IqpError, OverCap
+from ._bits import DENSE_MAX_QUBITS, as_size, enforce_cap, wht_inplace
+from .errors import InternalError, OverCap
 from .probdist import ProbVector, validate
 from .synth import GateList, PhaseTable
 
@@ -122,16 +121,13 @@ def simulate_gates(g: GateList) -> NDArray[np.complex128]:
     return amps
 
 
-def check_sample_count(count: int, seed: int = DEFAULT_SEED) -> None:
+def check_sample_count(count: int, seed: int) -> None:
     """Refuse a count or seed that is not a nonnegative integer, or a count over
     SAMPLES_MAX, in the words of simulate --samples and --seed; count first."""
-    for value, flag in ((count, "--samples"), (seed, "--seed")):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise IqpError(f"{flag} must be an integer")
-        if value < 0:
-            raise IqpError(f"{flag} must be nonnegative")
-        if flag == "--samples" and value > SAMPLES_MAX:
-            raise OverCap(f"--samples {count} is over the cap of {SAMPLES_MAX}")
+    as_size(count, "--samples")
+    as_size(seed, "--seed")
+    if count > SAMPLES_MAX:
+        raise OverCap(f"--samples {count} is over the cap of {SAMPLES_MAX}")
 
 
 def sample(p: ProbVector, count: int, seed: int = DEFAULT_SEED) -> list[str]:
@@ -141,6 +137,8 @@ def sample(p: ProbVector, count: int, seed: int = DEFAULT_SEED) -> list[str]:
         return []
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(p.probs)
-    cdf[-1] = 1.0  # guard against cumulative rounding at the top
+    # 1.0 from the last positive outcome on, so a sum rounded below 1 cannot
+    # send the largest draws to trailing outcomes of probability 0
+    cdf[np.flatnonzero(p.probs)[-1] :] = 1.0
     draws = np.searchsorted(cdf, rng.random(count), side="right")
     return [p.bitstring(int(j)) for j in draws]

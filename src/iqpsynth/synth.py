@@ -162,7 +162,8 @@ class GateList:
 
     def __post_init__(self) -> None:
         total = as_size(self.m, "hidden qubit count") + as_size(self.n, "visible qubit count")
-        if not np.isfinite(as_array(self.global_phase, np.float64, "global phase must be finite")):
+        phase = as_array(self.global_phase, np.float64, "global phase must be finite")
+        if phase.ndim or not np.isfinite(phase):
             raise IqpError("global phase must be finite")
         outside = f"gate masks must lie in (0, 2**{total})"
         masks = as_array(self.masks, np.int64, outside).copy()
@@ -179,6 +180,7 @@ class GateList:
             raise IqpError("gate angles must be finite")
         angles = canonical_angle(angles)
         masks.flags.writeable = angles.flags.writeable = False
+        object.__setattr__(self, "global_phase", float(phase))
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "angles", angles)
 

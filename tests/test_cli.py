@@ -253,7 +253,7 @@ def test_simulate_rejects_negative_seed(dist_file, tmp_path, capsys):
     run(capsys, "synth", dist_file, "-o", circuit)
     code, out, err = run(capsys, "simulate", circuit, "--samples", "3", "--seed", "-1")
     assert code == 2 and out == ""
-    assert err == "error: --seed must be nonnegative\n"
+    assert err == "error: --seed must be a nonnegative integer, got -1\n"
     assert run(capsys, "simulate", circuit, "--samples", "3", "--seed", "0")[0] == 0
 
 
@@ -652,9 +652,9 @@ REFUSALS = [
     _refusal("negative-tolerance", "verify c.txt d.json --tolerance -1", None, 2,
              "--tolerance must be a nonnegative number"),
     _refusal("negative-samples", "simulate c.txt --samples -1", None, 2,
-             "--samples must be nonnegative"),
+             "--samples must be a nonnegative integer, got -1"),
     _refusal("negative-seed", "simulate c.txt --seed -1", None, 2,
-             "--seed must be nonnegative"),
+             "--seed must be a nonnegative integer, got -1"),
     _refusal("missing-file", "decompose nope.json", None, 2,
              "[Errno 2] No such file or directory: 'nope.json'"),
     _refusal("not-utf8", "synth in", b'{"n": 0, "dense": [1\xff]}', 2,
@@ -676,7 +676,7 @@ REFUSALS = [
     _refusal("unknown-key", "synth in", '{"n": 1, "probs": {}, "x": 1}', 2,
              "unknown keys: ['x']"),
     _refusal("bad-n", "synth in", '{"n": -1, "probs": {}}', 2,
-             '"n" must be a nonnegative integer'),
+             '"n" must be a nonnegative integer, got -1'),
     _refusal("no-masses", "synth in", '{"n": 1}', 2,
              'exactly one of "probs" or "dense" is required'),
     _refusal("dense-not-numbers", "synth in", '{"n": 1, "dense": [0.5, "a"]}', 2,

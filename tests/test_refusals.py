@@ -114,7 +114,9 @@ def test_negative_probability_is_refused():
     ([[0, 1], [0, 1]], [[1.0], [0.5, 0.5]]),
 ])
 def test_ragged_mixture_is_refused(cols, masses):
-    with pytest.raises(IqpError, match="2-D arrays of one shape"):
+    # the ragged argument is refused in the words of its own conversion
+    ragged = "entries must lie in" if len(cols[0]) != len(cols[1]) else "values must be finite"
+    with pytest.raises(IqpError, match=f"^component {ragged}"):
         Mixture(1, cols, masses)
 
 
@@ -165,10 +167,47 @@ def test_integer_inputs_are_not_truncated(build):
     lambda: PhaseTable(0, 1, ["0", "1"]),
     lambda: PhaseTable(0, 1, [b"0", b"1"]),
     lambda: Mixture(1, [["0"], ["1"]], [[1.0], [1.0]]),
+    # ragged nesting
+    lambda: PhaseTable(0, 1, [[0.0], [1.0, 2.0]]),
+    lambda: GateList(0, 2, 0.0, [[1], [2, 3]], [0.1, 0.2]),
+    lambda: row_table(1, [[0], [0, 1]], [1, 1], 0.5),
+    lambda: validate([[0.5], [0.5, 0.0]], 1),
+    lambda: ProbVector(1, [[0.5], [0.5, 0.0]]),
+    # elements that are not real numbers
+    lambda: PhaseTable(0, 1, {0: 1.0}),
+    lambda: PhaseTable(0, 1, [1j, 0.5]),
+    lambda: GateList(0, 2, 0.0, [1, object()], [0.1, 0.2]),
+    # complex arrays, which numpy would cast to their real parts
+    lambda: PhaseTable(0, 1, np.array([1j, 0.5])),
+    lambda: validate(np.array([0.5 + 0.3j, 0.5]), 1),
+    lambda: ProbVector(1, np.array([0.5 + 1j, 0.5])),
+    lambda: GateList(0, 2, 0.0, [1], np.array([0.1 + 2j])),
+    lambda: row_table(1, [0], [1], np.array(0.3 + 1j)),
+    lambda: Mixture(1, [[0]], np.array([[1.0 + 5j]])),
+    # a global phase is one number
+    lambda: GateList(0, 2, [0.1, 0.2], [1], [0.1]),
+    lambda: GateList(0, 2, [0.1], [1], [0.1]),
+    lambda: GateList(0, 2, np.array([0.3]), [1], [0.1]),
 ], ids=["GateList-letter", "GateList-None", "GateList-digits", "row_table-labels",
         "row_table-mass", "validate", "ProbVector", "PhaseTable-str", "PhaseTable-bytes",
-        "Mixture"])
+        "Mixture", "PhaseTable-ragged", "GateList-ragged", "row_table-ragged",
+        "validate-ragged", "ProbVector-ragged", "PhaseTable-dict", "PhaseTable-complex-list",
+        "GateList-object", "PhaseTable-complex", "validate-complex", "ProbVector-complex",
+        "GateList-complex", "row_table-complex", "Mixture-complex", "GateList-phase-pair",
+        "GateList-phase-list", "GateList-phase-array"])
 def test_non_numbers_are_refused(build):
-    # numpy would parse the digit strings as numbers, and raise its own errors on the rest
+    # numpy would parse the digit strings as numbers, cast the complex values
+    # to their real parts, and raise its own errors on the rest
     with pytest.raises(IqpError):
         build()
+
+
+def test_global_phase_is_stored_as_a_float():
+    phase = GateList(0, 2, np.float32(0.1), [1], [0.1]).global_phase
+    assert type(phase) is float and phase == float(np.float32(0.1))
+
+
+@pytest.mark.parametrize("mode", ["fit", "exact\nHEADER m=0 n=1"], ids=["fit", "newline"])
+def test_circuit_writer_refuses_modes_its_reader_drops(mode):
+    with pytest.raises(IqpError, match="^mode must be one of"):
+        circuit.serialize_circuit(table=PhaseTable(0, 1, [0.0, 1.0]), mode=mode)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -174,17 +175,18 @@ def test_sample_deterministic_and_supported():
 
 
 @pytest.mark.parametrize("count, seed, message", [
-    (2, -1, "--seed must be nonnegative"),
-    (2, 1.5, "--seed must be an integer"),
-    (-1, 0, "--samples must be nonnegative"),
-    (1.5, 0, "--samples must be an integer"),
-    (math.nan, 0, "--samples must be an integer"),
-    (True, 0, "--samples must be an integer"),  # a bool is not a count
-    (2, False, "--seed must be an integer"),
-    (-1, -1, "--samples must be nonnegative"),  # the count first, as simulate checks it
+    (2, -1, "--seed must be a nonnegative integer, got -1"),
+    (2, 1.5, "--seed must be a nonnegative integer, got 1.5"),
+    (-1, 0, "--samples must be a nonnegative integer, got -1"),
+    (1.5, 0, "--samples must be a nonnegative integer, got 1.5"),
+    (math.nan, 0, "--samples must be a nonnegative integer, got nan"),
+    (True, 0, "--samples must be a nonnegative integer, got True"),  # a bool is not a count
+    (2, False, "--seed must be a nonnegative integer, got False"),
+    # the count first, as simulate checks it
+    (-1, -1, "--samples must be a nonnegative integer, got -1"),
 ])
 def test_sample_refuses_bad_count_or_seed(count, seed, message):
-    with pytest.raises(IqpError, match=f"^{message}$"):
+    with pytest.raises(IqpError, match=f"^{re.escape(message)}$"):
         sample(validate([0.5, 0.5], 1), count, seed)
 
 
@@ -211,8 +213,19 @@ def test_sample_never_emits_zero_mass_outcomes():
 
 
 def test_sample_rejects_negative_count():
-    with pytest.raises(IqpError, match="--samples must be nonnegative"):
+    with pytest.raises(IqpError, match="--samples must be a nonnegative integer, got -1"):
         sample(validate([1.0], 0), -1)
+
+
+def test_sample_top_draw_skips_trailing_zero_mass_outcomes(monkeypatch):
+    # the cumulative sum of ten masses of 0.1 rounds to 1 - 2**-53, the largest draw
+    class TopDraws:
+        def random(self, count):
+            return np.full(count, 1.0 - 2.0**-53)
+
+    p = validate([0.1] * 10 + [0.0] * 6, 4)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+    assert sample(p, 3) == ["1001"] * 3
 
 
 def test_sample_refuses_counts_over_the_cap_before_drawing(monkeypatch):
@@ -226,7 +239,7 @@ def test_sample_refuses_counts_over_the_cap_before_drawing(monkeypatch):
         message = f"--samples {count} is over the cap of {sim.SAMPLES_MAX}"
         with pytest.raises(OverCap, match=message):
             sample(p, count)
-    with pytest.raises(IqpError, match="--samples must be nonnegative") as info:
+    with pytest.raises(IqpError, match="--samples must be a nonnegative integer") as info:
         sample(p, -1)
     assert type(info.value) is IqpError
     monkeypatch.undo()
