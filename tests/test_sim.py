@@ -174,16 +174,26 @@ def test_sample_deterministic_and_supported():
     assert sample(p, np.int64(200), np.uint8(1)) == c  # numpy integers are integers
 
 
+# the ids keep the short names these cases have always run under
 @pytest.mark.parametrize("count, seed, message", [
-    (2, -1, "--seed must be a nonnegative integer, got -1"),
-    (2, 1.5, "--seed must be a nonnegative integer, got 1.5"),
-    (-1, 0, "--samples must be a nonnegative integer, got -1"),
-    (1.5, 0, "--samples must be a nonnegative integer, got 1.5"),
-    (math.nan, 0, "--samples must be a nonnegative integer, got nan"),
-    (True, 0, "--samples must be a nonnegative integer, got True"),  # a bool is not a count
-    (2, False, "--seed must be a nonnegative integer, got False"),
+    pytest.param(2, -1, "--seed must be a nonnegative integer, got -1",
+                 id="2--1---seed must be nonnegative"),
+    pytest.param(2, 1.5, "--seed must be a nonnegative integer, got 1.5",
+                 id="2-1.5---seed must be an integer"),
+    pytest.param(-1, 0, "--samples must be a nonnegative integer, got -1",
+                 id="-1-0---samples must be nonnegative"),
+    pytest.param(1.5, 0, "--samples must be a nonnegative integer, got 1.5",
+                 id="1.5-0---samples must be an integer"),
+    pytest.param(math.nan, 0, "--samples must be a nonnegative integer, got nan",
+                 id="nan-0---samples must be an integer"),
+    # a bool is not a count
+    pytest.param(True, 0, "--samples must be a nonnegative integer, got True",
+                 id="True-0---samples must be an integer"),
+    pytest.param(2, False, "--seed must be a nonnegative integer, got False",
+                 id="2-False---seed must be an integer"),
     # the count first, as simulate checks it
-    (-1, -1, "--samples must be a nonnegative integer, got -1"),
+    pytest.param(-1, -1, "--samples must be a nonnegative integer, got -1",
+                 id="-1--1---samples must be nonnegative"),
 ])
 def test_sample_refuses_bad_count_or_seed(count, seed, message):
     with pytest.raises(IqpError, match=f"^{re.escape(message)}$"):
